@@ -17,6 +17,7 @@ from .estimators import (
     ds_search,
     es_search,
     estimate,
+    predict_mv_ros_d,
     zmp_check,
 )
 from .metrics import (
@@ -31,10 +32,8 @@ from .metrics import (
 )
 from .pso import (
     PsoConfig,
-    estimate_pso_zmp,
     inertia_weight,
     init_pattern,
-    predict_mv_ros_d,
     pso_match,
     select_pattern,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ds_search",
     "es_search",
     "estimate",
-    "estimate_pso_zmp",
     "extract_block",
     "frame_psnr",
     "inertia_weight",

@@ -14,14 +14,14 @@ half-up to three decimals, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 from . import __version__
 from .blocks import BlockGrid
 from .compensate import compensate
 from .estimators import ALGORITHMS, EstimatorConfig, MotionField, estimate
-from .metrics import frame_psnr
+from .metrics import PSNR_CAP_DB, frame_psnr
 from .pso import PsoConfig
 from .video_io import Sequence, load_raw_yuv, load_y4m, write_pgm
 
@@ -55,7 +55,7 @@ def resolve_zmp_threshold(input_name: str, explicit: float | None) -> float | No
 class RunSpec:
     input: str
     algos: list[str]
-    fmt: str = "y4m"  # y4m | yuv
+    fmt: str | None = None  # y4m | yuv; None: by file extension
     width: int | None = None
     height: int | None = None
     chroma: str = "420"  # raw yuv plane layout; "400" = luma-only
@@ -75,10 +75,8 @@ class RunSpec:
                 raise ValueError(f"unknown algorithm {a!r}, expected one of {ALGORITHMS}")
         if len(set(self.algos)) != len(self.algos):
             raise ValueError(f"duplicate algorithm in selection {self.algos}")
-        if self.fmt not in ("y4m", "yuv"):
-            raise ValueError(f"format must be y4m or yuv, got {self.fmt!r}")
-        if self.fmt == "yuv" and (self.width is None or self.height is None):
-            raise ValueError("raw yuv input needs --width and --height")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         needs = [a for a in self.algos if a in _NEEDS_THRESHOLD]
         if "ds" in self.algos and self.config.ds_zmp:
             needs.append("ds")
@@ -118,20 +116,23 @@ class SequenceReport:
     def _algo_rows(self, algo: str) -> list[FrameRow]:
         return [r for r in self.rows if r.algo == algo]
 
+    @property
+    def block_count(self) -> int:
+        """Blocks estimated per algorithm over the whole sequence."""
+        return self.n_pairs * self.n_blocks
+
     def total_evals(self, algo: str) -> int:
         return sum(r.evals_total for r in self._algo_rows(algo))
 
-    def mean_evals(self, algo: str) -> float:
-        return self.total_evals(algo) / (self.n_pairs * self.n_blocks)
+    def static_blocks(self, algo: str) -> int:
+        return sum(r.static_blocks for r in self._algo_rows(algo))
 
     def mean_psnr(self, algo: str) -> float:
         rows = self._algo_rows(algo)
         return sum(r.psnr_db for r in rows) / len(rows)
 
     def static_fraction(self, algo: str) -> float:
-        return sum(r.static_blocks for r in self._algo_rows(algo)) / (
-            self.n_pairs * self.n_blocks
-        )
+        return self.static_blocks(algo) / self.block_count
 
     def gain(self, algo: str, over: str) -> float:
         """How many times fewer evaluations `algo` spends than `over`."""
@@ -146,19 +147,37 @@ def ratio_3dp(numer: int, denom: int) -> str:
     return f"{q // 1000}.{q % 1000:03d}"
 
 
-def load_input(spec: RunSpec) -> Sequence:
-    if spec.fmt == "y4m":
-        return load_y4m(spec.input, max_frames=spec.max_frames)
-    return load_raw_yuv(
-        spec.input, spec.width, spec.height, max_frames=spec.max_frames, chroma=spec.chroma
-    )
+def _input_format(path: str | Path, fmt: str | None = None) -> str:
+    """fmt when given, else y4m for a .y4m extension and raw yuv otherwise."""
+    if fmt is None:
+        return "y4m" if Path(path).suffix.lower() == ".y4m" else "yuv"
+    if fmt not in ("y4m", "yuv"):
+        raise ValueError(f"format must be y4m or yuv, got {fmt!r}")
+    return fmt
+
+
+def load_input(
+    path: str | Path,
+    fmt: str | None = None,
+    width: int | None = None,
+    height: int | None = None,
+    max_frames: int | None = None,
+    chroma: str = "420",
+) -> Sequence:
+    """Read a y4m or raw planar yuv file (format as in _input_format)."""
+    if _input_format(path, fmt) == "y4m":
+        return load_y4m(path, max_frames=max_frames)
+    if width is None or height is None:
+        raise ValueError(f"raw yuv input {str(path)!r} needs --width and --height")
+    return load_raw_yuv(path, width, height, max_frames=max_frames, chroma=chroma)
 
 
 def run(spec: RunSpec) -> SequenceReport:
     """Estimate, compensate, and score every consecutive frame pair with every
     selected algorithm; write CSVs (and optional dumps) to spec.out_dir."""
     spec.validate()
-    seq = load_input(spec)
+    fmt = _input_format(spec.input, spec.fmt)
+    seq = load_input(spec.input, fmt, spec.width, spec.height, spec.max_frames, spec.chroma)
     if len(seq) < 2:
         raise ValueError(f"need at least 2 frames to estimate motion, got {len(seq)}")
     grid = BlockGrid.for_frame(seq[0], spec.config.block_size)
@@ -177,7 +196,7 @@ def run(spec: RunSpec) -> SequenceReport:
             field = estimate(
                 algo, anchor, target, spec.config, spec.pso, seed=spec.seed ^ k
             )
-            recon = compensate(anchor, field, grid)
+            recon = compensate(anchor, field)
             rows.append(
                 FrameRow(
                     frame=k,
@@ -200,31 +219,18 @@ def run(spec: RunSpec) -> SequenceReport:
         n_pairs=len(seq) - 1,
         meta={
             "input": str(spec.input),
-            "format": spec.fmt,
-            "chroma": spec.chroma if spec.fmt == "yuv" else None,
+            "format": fmt,
+            "chroma": spec.chroma if fmt == "yuv" else None,
             "width": seq.width,
             "height": seq.height,
             "frames": len(seq),
             "algorithms": list(spec.algos),
-            "block_size": spec.config.block_size,
-            "search_param": spec.config.search_param,
-            "zmp_threshold": spec.config.zmp_threshold,
-            "arps_raw_threshold": spec.config.arps_raw_threshold,
-            "ds_zmp": spec.config.ds_zmp,
-            "pso": {
-                "particles": spec.pso.particles,
-                "iterations": spec.pso.iterations,
-                "w_start": spec.pso.w_start,
-                "w_end": spec.pso.w_end,
-                "c1": spec.pso.c1,
-                "c2": spec.pso.c2,
-                "v_max": spec.pso.v_max,
-                "seed_predictor": spec.pso.seed_predictor,
-            },
+            **asdict(spec.config),
+            "pso": asdict(spec.pso),
             "seed": spec.seed,
             "per_pair_seed": "seed XOR target_frame_index",
             "eval_counting": "distinct displacements per block; memoized revisits uncounted",
-            "psnr_cap_db": 100.0,
+            "psnr_cap_db": PSNR_CAP_DB,
             "version": __version__,
         },
     )
@@ -244,10 +250,10 @@ def write_csv(report: SequenceReport, out_dir: str | Path) -> None:
         )
     (out / "per_frame.csv").write_text("\n".join(lines) + "\n")
 
-    denom = report.n_pairs * report.n_blocks
     lines = ["algo,mean_psnr_db,mean_evals"]
     for a in report.algos:
-        lines.append(f"{a},{report.mean_psnr(a):.2f},{ratio_3dp(report.total_evals(a), denom)}")
+        mean_evals = ratio_3dp(report.total_evals(a), report.block_count)
+        lines.append(f"{a},{report.mean_psnr(a):.2f},{mean_evals}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["algo," + ",".join(report.algos)]
@@ -296,15 +302,14 @@ def load_mv_field(path: str | Path) -> MotionField:
 
 def format_summary(report: SequenceReport) -> str:
     """Human-readable summary table for stdout."""
-    denom = report.n_pairs * report.n_blocks
     out = [
         f"{'algo':<10} {'mean_psnr_db':>12} {'mean_evals':>12} {'static_frac':>12}",
     ]
     for a in report.algos:
         out.append(
             f"{a:<10} {report.mean_psnr(a):>12.2f} "
-            f"{ratio_3dp(report.total_evals(a), denom):>12} "
-            f"{ratio_3dp(sum(r.static_blocks for r in report.rows if r.algo == a), denom):>12}"
+            f"{ratio_3dp(report.total_evals(a), report.block_count):>12} "
+            f"{ratio_3dp(report.static_blocks(a), report.block_count):>12}"
         )
     if len(report.algos) > 1:
         out.append("gains (row over column):")

@@ -33,7 +33,13 @@ class BlockGrid:
 
     @classmethod
     def for_frame(cls, frame: Frame, block_size: int = 16) -> "BlockGrid":
-        return cls(block_size, frame.width // block_size, frame.height // block_size)
+        cols, rows = frame.width // block_size, frame.height // block_size
+        if cols < 1 or rows < 1:
+            raise ValueError(
+                f"{frame.width}x{frame.height} frame is smaller than one "
+                f"{block_size}x{block_size} block"
+            )
+        return cls(block_size, cols, rows)
 
     @property
     def n_blocks(self) -> int:
@@ -76,8 +82,11 @@ def extract_block(
     The caller must have clamped d already; an out-of-frame read is a
     contract violation and raises rather than clamping silently.
     """
+    dx_min, dx_max, dy_min, dy_max = displacement_bounds(
+        frame.width, frame.height, origin, block_size
+    )
     x, y = origin[0] + d[0], origin[1] + d[1]
-    if x < 0 or y < 0 or x + block_size > frame.width or y + block_size > frame.height:
+    if not (dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max):
         raise ValueError(
             f"displaced block at ({x},{y}) size {block_size} leaves the "
             f"{frame.width}x{frame.height} frame; clamp the displacement first"

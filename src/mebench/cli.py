@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .bench import RunSpec, format_summary, resolve_zmp_threshold, run
+from .bench import RunSpec, format_summary, load_input, resolve_zmp_threshold, run
 from .estimators import ALGORITHMS, EstimatorConfig
 from .metrics import psnr
 from .pso import PsoConfig
-from .video_io import VideoFormatError, load_raw_yuv, load_y4m
+from .video_io import VideoFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,38 +31,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _infer_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    suffix = Path(path).suffix.lower()
-    return "y4m" if suffix == ".y4m" else "yuv"
-
-
-def _load_sequence(path: str, fmt: str | None, width, height, frames, chroma="420"):
-    fmt = _infer_format(path, fmt)
-    if fmt == "y4m":
-        return load_y4m(path, max_frames=frames)
-    if width is None or height is None:
-        raise ValueError(f"raw yuv input {path!r} needs --width and --height")
-    return load_raw_yuv(path, width, height, max_frames=frames, chroma=chroma)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mebench", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="benchmark matchers over a sequence")
-    p_run.add_argument("--input", required=True, help="video file (y4m or raw planar yuv)")
-    p_run.add_argument("--format", choices=("y4m", "yuv"), help="default: by file extension")
-    p_run.add_argument("--width", type=int, help="frame width (raw yuv only)")
-    p_run.add_argument("--height", type=int, help="frame height (raw yuv only)")
-    p_run.add_argument(
+    # how run and psnr read their inputs (see bench.load_input)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--format", choices=("y4m", "yuv"), help="default: by file extension")
+    inputs.add_argument("--width", type=int, help="frame width (raw yuv only)")
+    inputs.add_argument("--height", type=int, help="frame height (raw yuv only)")
+    inputs.add_argument(
         "--chroma",
         choices=("420", "400"),
         default="420",
         help="chroma layout of raw yuv input (400 = luma-only)",
     )
-    p_run.add_argument("--frames", type=int, help="cap on frames read")
+    inputs.add_argument("--frames", type=int, help="cap on frames read (>= 1)")
+
+    p_run = sub.add_parser("run", parents=[inputs], help="benchmark matchers over a sequence")
+    p_run.add_argument("--input", required=True, help="video file (y4m or raw planar yuv)")
     p_run.add_argument(
         "--algos",
         default="es,ds,arps,pso-zmp",
@@ -95,14 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dump-mv", action="store_true", help="write per-pair .mvf dumps")
     p_run.add_argument("--dump-recon", action="store_true", help="write reconstructed PGMs")
 
-    p_psnr = sub.add_parser("psnr", help="per-frame PSNR between two sequences")
+    p_psnr = sub.add_parser("psnr", parents=[inputs], help="per-frame PSNR between two sequences")
     p_psnr.add_argument("--a", required=True, help="reference sequence")
     p_psnr.add_argument("--b", required=True, help="sequence under test")
-    p_psnr.add_argument("--format", choices=("y4m", "yuv"))
-    p_psnr.add_argument("--width", type=int)
-    p_psnr.add_argument("--height", type=int)
-    p_psnr.add_argument("--chroma", choices=("420", "400"), default="420")
-    p_psnr.add_argument("--frames", type=int)
     return parser
 
 
@@ -110,7 +91,7 @@ def _cmd_run(args) -> int:
     spec = RunSpec(
         input=args.input,
         algos=[a.strip() for a in args.algos.split(",") if a.strip()],
-        fmt=_infer_format(args.input, args.format),
+        fmt=args.format,
         width=args.width,
         height=args.height,
         chroma=args.chroma,
@@ -140,8 +121,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_psnr(args) -> int:
-    a = _load_sequence(args.a, args.format, args.width, args.height, args.frames, args.chroma)
-    b = _load_sequence(args.b, args.format, args.width, args.height, args.frames, args.chroma)
+    a = load_input(args.a, args.format, args.width, args.height, args.frames, args.chroma)
+    b = load_input(args.b, args.format, args.width, args.height, args.frames, args.chroma)
     report = psnr(a, b)
     print("frame,psnr_db")
     for i, value in enumerate(report.per_frame_db):

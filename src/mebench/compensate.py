@@ -16,14 +16,14 @@ class CompensatedFrame:
     source_field: MotionField
 
 
-def compensate(anchor: Frame, field: MotionField, grid: BlockGrid | None = None) -> CompensatedFrame:
+def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
     """Copy each block from its displaced anchor position; pixels outside the
     block tiling (right/bottom remainders) are copied co-located."""
-    grid = grid or field.grid
-    if (grid.rows, grid.cols) != field.vectors.shape[:2]:
+    grid = field.grid
+    if grid != BlockGrid.for_frame(anchor, grid.block_size):
         raise ValueError(
-            f"field is {field.vectors.shape[1]}x{field.vectors.shape[0]} blocks, "
-            f"grid expects {grid.cols}x{grid.rows}"
+            f"field holds {grid.cols}x{grid.rows} blocks of {grid.block_size}, "
+            f"which do not tile the {anchor.width}x{anchor.height} frame"
         )
     bs = grid.block_size
     out = anchor.luma.copy()  # margins keep the co-located anchor pixels

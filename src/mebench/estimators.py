@@ -1,5 +1,6 @@
-"""Block matchers: exhaustive search, diamond search, adaptive rood pattern
-search, and the frame-level dispatch shared with the swarm matcher.
+"""Block matchers (exhaustive, diamond and adaptive rood pattern search) and
+`estimate`, the one raster driver that runs every matcher block by block,
+the swarm matcher of pso.py included.
 
 All searches run per block with a memoized BlockCost, so revisiting a
 displacement never inflates the evaluation count. Ties are broken uniformly
@@ -38,13 +39,14 @@ class EstimatorConfig:
     follows its original convention and compares the raw sum, which keeps its
     prejudgment far stricter at the same threshold number. Set
     arps_raw_threshold=False to give ARPS the normalized convention too.
+    The field order is the key order of the config echo in meta.json.
     """
 
     block_size: int = 16
     search_param: int = 7
     zmp_threshold: float | None = None
-    ds_zmp: bool = False
     arps_raw_threshold: bool = True
+    ds_zmp: bool = False
 
     def __post_init__(self):
         if self.block_size < 2:
@@ -95,8 +97,8 @@ class MotionField:
         return int(self.static_flags.sum())
 
 
-def _best_over(cost: BlockCost, candidates) -> tuple[MotionVector, int]:
-    """Evaluate the legal candidates and return the key-minimal (d, cost)."""
+def _best_over(cost: BlockCost, candidates) -> MotionVector:
+    """Evaluate the legal candidates and return the key-minimal one."""
     best_d = None
     best_key = None
     for d in candidates:
@@ -107,7 +109,20 @@ def _best_over(cost: BlockCost, candidates) -> tuple[MotionVector, int]:
             best_key, best_d = k, d
     if best_d is None:
         raise ValueError("no legal candidate displacement")
-    return best_d, best_key[0]
+    return best_d
+
+
+def _around(center: MotionVector, pattern) -> list[MotionVector]:
+    return [(center[0] + ox, center[1] + oy) for ox, oy in pattern]
+
+
+def _walk(cost: BlockCost, center: MotionVector, pattern) -> MotionVector:
+    """Recenter `pattern` on its minimum until the minimum stays at the center."""
+    while True:
+        best = _best_over(cost, _around(center, pattern))
+        if best == center:
+            return center
+        center = best
 
 
 def es_search(cost: BlockCost) -> MotionVector:
@@ -115,29 +130,14 @@ def es_search(cost: BlockCost) -> MotionVector:
     dx_min, dx_max, dy_min, dy_max = cost.bounds
     return _best_over(
         cost, ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
-    )[0]
+    )
 
 
 def ds_search(cost: BlockCost) -> MotionVector:
     """Two-pattern diamond search: large diamond walked until its minimum sits
     at the center, then one small-diamond refinement."""
-    center, _ = _best_over(cost, [(0, 0)])
-    while True:
-        best, _ = _best_over(cost, ((center[0] + ox, center[1] + oy) for ox, oy in _LDSP))
-        if best == center:
-            break
-        center = best
-    best, _ = _best_over(cost, ((center[0] + ox, center[1] + oy) for ox, oy in _SDSP))
-    return best
-
-
-def _unit_rood_refine(cost: BlockCost, center: MotionVector) -> MotionVector:
-    """Walk the unit rood until its minimum stays at the center."""
-    while True:
-        best, _ = _best_over(cost, ((center[0] + ox, center[1] + oy) for ox, oy in _SDSP))
-        if best == center:
-            return center
-        center = best
+    center = _walk(cost, _best_over(cost, [(0, 0)]), _LDSP)
+    return _best_over(cost, _around(center, _SDSP))
 
 
 def zmp_check(cost: BlockCost, threshold: float, block_size: int) -> MotionVector | None:
@@ -168,19 +168,22 @@ def arps_search(
     if cost((0, 0)) < threshold:
         return (0, 0), True
 
-    if left_neighbor_mv is None:
-        arm = 2
-        candidates = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm)]
-    else:
-        arm = max(abs(left_neighbor_mv[0]), abs(left_neighbor_mv[1]))
-        candidates = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm), left_neighbor_mv]
-    start, _ = _best_over(cost, candidates)
-    return _unit_rood_refine(cost, start), False
+    arm = 2 if left_neighbor_mv is None else max(map(abs, left_neighbor_mv))
+    candidates = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm)]
+    if left_neighbor_mv is not None:
+        candidates.append(left_neighbor_mv)
+    return _walk(cost, _best_over(cost, candidates), _SDSP), False
 
 
-def _window(config: EstimatorConfig) -> tuple[int, int, int, int]:
-    p = config.search_param
-    return (-p, p, -p, p)
+def predict_mv_ros_d(field_so_far: MotionField, block_index: int) -> MotionVector | None:
+    """Left-neighbor prediction: the vector of the block immediately to the
+    left, or None for the leftmost column (block 0 included)."""
+    grid = field_so_far.grid
+    if not 0 <= block_index < grid.n_blocks:
+        raise ValueError(f"block index {block_index} out of range [0, {grid.n_blocks})")
+    if block_index % grid.cols == 0:
+        return None
+    return field_so_far.vector(block_index // grid.cols, block_index % grid.cols - 1)
 
 
 def estimate(
@@ -195,7 +198,9 @@ def estimate(
     """Estimate the motion field of `target` relative to `anchor`.
 
     algorithm is one of es, ds, arps, pso-zmp. Blocks are processed in raster
-    order; the result is a pure function of the inputs, config, and seed.
+    order; the result is a pure function of the inputs, config, and seed
+    (which only pso-zmp consumes). ES/DS/ARPS candidates stay inside the
+    search window; the swarm is bounded by frame legality alone.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -205,13 +210,25 @@ def estimate(
             f"{target.width}x{target.height}"
         )
     config = config or EstimatorConfig()
+    p = config.search_param
+    window = (-p, p, -p, p)
+    # the per-block matcher: (cost, block index, field so far) -> (vector, static)
+    if algorithm == "es":
+        match = lambda cost, index, field: (es_search(cost), False)
+    elif algorithm == "ds":
+        threshold = config.require_threshold() if config.ds_zmp else None
 
-    if algorithm == "pso-zmp":
-        from .pso import estimate_pso_zmp
+        def match(cost, index, field):
+            if threshold is not None and zmp_check(cost, threshold, config.block_size) is not None:
+                return (0, 0), True
+            return ds_search(cost), False
 
-        return estimate_pso_zmp(
-            anchor, target, config, pso, seed=seed, keep_memos=keep_memos
-        )
+    elif algorithm == "arps":
+        match = lambda cost, index, field: arps_search(cost, config, predict_mv_ros_d(field, index))
+    else:
+        from .pso import PsoConfig, swarm_matcher
+
+        match, window = swarm_matcher(config, pso or PsoConfig(), seed), None
 
     grid = BlockGrid.for_frame(anchor, config.block_size)
     field = MotionField.empty(grid)
@@ -219,24 +236,12 @@ def estimate(
         field.memos = []
     anc = anchor.luma.astype(np.int32)
     tgt = target.luma.astype(np.int32)
-    window = _window(config)
 
     for index in range(grid.n_blocks):
         row, col = index // grid.cols, index % grid.cols
         counter = EvalCounter()
         cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
-        static = False
-        if algorithm == "es":
-            mv = es_search(cost)
-        elif algorithm == "ds":
-            if config.ds_zmp:
-                hit = zmp_check(cost, config.require_threshold(), config.block_size)
-                mv, static = (hit, True) if hit is not None else (ds_search(cost), False)
-            else:
-                mv = ds_search(cost)
-        else:  # arps
-            left = field.vector(row, col - 1) if col > 0 else None
-            mv, static = arps_search(cost, config, left)
+        mv, static = match(cost, index, field)
         field.vectors[row, col] = mv
         field.evals_per_block[row, col] = counter.evals
         field.static_flags[row, col] = static

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import MotionVector
+from .blocks import MotionVector, displacement_bounds
 from .video_io import Frame, Sequence
 
 # Reported in place of an infinite PSNR (zero MSE); far above the ~40 dB
@@ -60,8 +60,9 @@ class BlockCost:
 
     anchor/target are full-frame int32 arrays; origin is the block's top-left
     corner in the target frame. Candidate blocks are read from the anchor at
-    origin + d, which must stay inside the frame. An optional window
-    (dx_min, dx_max, dy_min, dy_max) further restricts what `legal` admits.
+    origin + d, which must stay inside the frame (frame_bounds, from
+    displacement_bounds). An optional window (dx_min, dx_max, dy_min, dy_max)
+    further restricts `bounds`, the box that `legal` and `clamp` use.
     """
 
     def __init__(
@@ -79,8 +80,8 @@ class BlockCost:
         self.tgt = target[self.y : self.y + block_size, self.x : self.x + block_size]
         self.counter = counter
         h, w = anchor.shape
-        dx_min, dx_max = -self.x, w - block_size - self.x
-        dy_min, dy_max = -self.y, h - block_size - self.y
+        self.frame_bounds = displacement_bounds(w, h, origin, block_size)
+        dx_min, dx_max, dy_min, dy_max = self.frame_bounds
         if window is not None:
             dx_min, dx_max = max(dx_min, window[0]), min(dx_max, window[1])
             dy_min, dy_max = max(dy_min, window[2]), min(dy_max, window[3])
@@ -97,13 +98,13 @@ class BlockCost:
     def __call__(self, d: MotionVector) -> int:
         c = self.counter.memo.get(d)
         if c is None:
-            bs = self.block_size
-            cx, cy = self.x + d[0], self.y + d[1]
-            h, w = self.anchor.shape
-            if not (0 <= cx <= w - bs and 0 <= cy <= h - bs):
+            dx_min, dx_max, dy_min, dy_max = self.frame_bounds
+            if not (dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max):
                 raise ValueError(
                     f"displacement {d} leaves the frame for block at ({self.x},{self.y})"
                 )
+            bs = self.block_size
+            cx, cy = self.x + d[0], self.y + d[1]
             c = int(np.abs(self.tgt - self.anchor[cy : cy + bs, cx : cx + bs]).sum())
             self.counter.memo[d] = c
         return c

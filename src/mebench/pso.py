@@ -1,5 +1,6 @@
 """Swarm block matcher: static-block prejudgment, left-neighbor prediction,
 edge-aware particle seeding patterns, and a fixed-iteration particle swarm.
+`estimators.estimate` runs it block by block through swarm_matcher.
 
 Per block: one co-located evaluation decides staticness; moving blocks get
 eight particles placed by a pattern keyed to the block's grid position
@@ -12,9 +13,10 @@ Particle state is continuous; positions are rounded (half away from zero)
 and clamped to the frame-legal box only when a cost is evaluated. There is
 no search-window restriction beyond frame legality.
 
-Randomness: one PCG64 stream per frame pair, consumed in block raster order;
-each particle draws four uniforms per iteration in the fixed order
-(r1 for x, r2 for x, r1 for y, r2 for y), particles in index order.
+Randomness: one PCG64 stream per frame pair, held by swarm_matcher and
+consumed in block raster order; each particle draws four uniforms per
+iteration in the fixed order (r1 for x, r2 for x, r1 for y, r2 for y),
+particles in index order.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import math
 
 import numpy as np
 
-from .blocks import BlockGrid, MotionVector, block_origin
-from .estimators import EstimatorConfig, MotionField, zmp_check
-from .metrics import BlockCost, EvalCounter, candidate_key
-from .video_io import Frame
+from .blocks import BlockGrid, MotionVector
+from .estimators import EstimatorConfig, MotionField, predict_mv_ros_d, zmp_check
+from .metrics import BlockCost, candidate_key
 
 PATTERN_KINDS = ("A", "B", "C", "D")
 
@@ -46,7 +47,8 @@ _PATTERNS: dict[str, tuple[MotionVector, ...]] = {
 @dataclass(frozen=True)
 class PsoConfig:
     """Swarm parameters: 8 particles, 5 iterations, w 0.9 -> 0.4, c1 = c2 = 2,
-    velocity clamp 5 px/iteration."""
+    velocity clamp 5 px/iteration. The field order is the key order of the
+    "pso" block in meta.json."""
 
     particles: int = 8
     iterations: int = 5
@@ -96,17 +98,6 @@ def init_pattern(kind: str, center: MotionVector = (0, 0)) -> list[MotionVector]
         raise ValueError(f"unknown pattern kind {kind!r}, expected one of {PATTERN_KINDS}")
     cx, cy = center
     return [(cx + dx, cy + dy) for dx, dy in _PATTERNS[kind]]
-
-
-def predict_mv_ros_d(field_so_far: MotionField, block_index: int) -> MotionVector | None:
-    """Left-neighbor prediction: the vector of the block immediately to the
-    left, or None for the leftmost column (block 0 included)."""
-    grid = field_so_far.grid
-    if not 0 <= block_index < grid.n_blocks:
-        raise ValueError(f"block index {block_index} out of range [0, {grid.n_blocks})")
-    if block_index % grid.cols == 0:
-        return None
-    return field_so_far.vector(block_index // grid.cols, block_index % grid.cols - 1)
 
 
 def _round_half_away(v: float) -> int:
@@ -183,59 +174,29 @@ def pso_match(
     return gbest
 
 
-def estimate_pso_zmp(
-    anchor: Frame,
-    target: Frame,
-    config: EstimatorConfig,
-    pso: PsoConfig | None = None,
-    grid: BlockGrid | None = None,
-    seed: int = 0,
-    keep_memos: bool = False,
-) -> MotionField:
-    """Full-frame swarm estimation with static prejudgment and prediction.
+def swarm_matcher(config: EstimatorConfig, pso: PsoConfig, seed: int):
+    """Per-block matcher of `estimate` for one frame pair; holds the pair's
+    PCG64 stream.
 
-    Raster order per block: prejudge; if static, record (0, 0) with one
-    evaluation. Otherwise pick the seeding pattern; ordinary blocks recenter
-    pattern A on the left neighbor's vector and (by default) evaluate that
-    prediction as a starting global-best candidate. The co-located point
-    always joins the initial candidates, so the output never scores worse
-    than staying put.
+    Per block: prejudge; if static, record (0, 0) with one evaluation.
+    Otherwise pick the seeding pattern; ordinary blocks recenter pattern A on
+    the left neighbor's vector and (by default) evaluate that prediction as a
+    starting global-best candidate. The co-located point always joins the
+    initial candidates, so the output never scores worse than staying put.
     """
-    if anchor.width != target.width or anchor.height != target.height:
-        raise ValueError(
-            f"frame sizes differ: {anchor.width}x{anchor.height} vs "
-            f"{target.width}x{target.height}"
-        )
-    pso = pso or PsoConfig()
     threshold = config.require_threshold()
-    grid = grid or BlockGrid.for_frame(anchor, config.block_size)
-    field = MotionField.empty(grid)
-    if keep_memos:
-        field.memos = []
-    anc = anchor.luma.astype(np.int32)
-    tgt = target.luma.astype(np.int32)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    for index in range(grid.n_blocks):
-        row, col = index // grid.cols, index % grid.cols
-        counter = EvalCounter()
-        cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter)
-        static = zmp_check(cost, threshold, config.block_size)
-        if static is not None:
-            mv, is_static = static, True
-        else:
-            kind = select_pattern(index, grid)
-            center: MotionVector = (0, 0)
-            seeds: tuple[MotionVector, ...] = ((0, 0),)
-            if kind == "A":
-                center = predict_mv_ros_d(field, index)
-                if pso.seed_predictor and center != (0, 0):
-                    seeds = ((0, 0), center)
-            mv = pso_match(cost, init_pattern(kind, center), seeds, pso, rng)
-            is_static = False
-        field.vectors[row, col] = mv
-        field.evals_per_block[row, col] = counter.evals
-        field.static_flags[row, col] = is_static
-        if keep_memos:
-            field.memos.append(counter.memo)
-    return field
+    def match(cost: BlockCost, index: int, field: MotionField) -> tuple[MotionVector, bool]:
+        if zmp_check(cost, threshold, config.block_size) is not None:
+            return (0, 0), True
+        kind = select_pattern(index, field.grid)
+        center: MotionVector = (0, 0)
+        seeds: tuple[MotionVector, ...] = ((0, 0),)
+        if kind == "A":
+            center = predict_mv_ros_d(field, index)
+            if pso.seed_predictor and center != (0, 0):
+                seeds = ((0, 0), center)
+        return pso_match(cost, init_pattern(kind, center), seeds, pso, rng), False
+
+    return match

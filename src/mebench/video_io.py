@@ -67,10 +67,6 @@ class Sequence:
     def height(self) -> int:
         return self.frames[0].height
 
-    @property
-    def frame_count(self) -> int:
-        return len(self.frames)
-
 
 def _chroma_bytes(width: int, height: int, chroma: str) -> int:
     if chroma == "420":
@@ -84,6 +80,11 @@ def _chroma_bytes(width: int, height: int, chroma: str) -> int:
     raise VideoFormatError(f"unsupported chroma format {chroma!r}")
 
 
+def _check_max_frames(max_frames: int | None) -> None:
+    if max_frames is not None and max_frames < 1:
+        raise ValueError(f"--frames (max_frames) must be >= 1, got {max_frames}")
+
+
 def load_y4m(path: str | Path, max_frames: int | None = None) -> Sequence:
     """Read a YUV4MPEG2 stream, keeping only the luma plane of each frame.
 
@@ -91,6 +92,7 @@ def load_y4m(path: str | Path, max_frames: int | None = None) -> Sequence:
     mono (Cmono) streams. Raises VideoFormatError on anything malformed,
     naming the offending header token or frame index.
     """
+    _check_max_frames(max_frames)
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
     if nl < 0:
@@ -173,6 +175,7 @@ def load_raw_yuv(
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"dimensions must be positive, got {width}x{height}")
+    _check_max_frames(max_frames)
     luma_size = width * height
     frame_size = luma_size + _chroma_bytes(width, height, chroma)
     data = Path(path).read_bytes()

@@ -289,3 +289,32 @@ def test_cli_psnr_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "frame,psnr_db"
     assert out[-1] == "mean,100.00"
+
+
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
+    path = make_clip(tmp_path, n_frames=2)
+    argv = ["run", "--input", str(path), "--algos", "pso-zmp", "--zmp-threshold", "64"]
+    assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("frames", ["0", "-2"])
+def test_cli_frames_below_one_is_usage_error(tmp_path, capsys, frames):
+    path = make_clip(tmp_path, n_frames=2)
+    assert main(["run", "--input", str(path), "--algos", "es", "--frames", frames]) == 1
+    assert f"--frames (max_frames) must be >= 1, got {frames}" in capsys.readouterr().err
+    raw = tmp_path / "clip.yuv"
+    raw.write_bytes(bytes(48 * 64 * 3 // 2))
+    argv = ["psnr", "--a", str(raw), "--b", str(raw), "--width", "64", "--height", "48"]
+    assert main([*argv, "--frames", frames]) == 1
+    assert "--frames" in capsys.readouterr().err
+
+
+def test_cli_psnr_infers_raw_yuv_and_needs_dimensions(tmp_path, capsys):
+    raw = tmp_path / "clip.yuv"
+    raw.write_bytes(bytes(48 * 64 * 3 // 2))
+    assert main(["psnr", "--a", str(raw), "--b", str(raw)]) == 1
+    assert "needs --width and --height" in capsys.readouterr().err
+    assert main(["psnr", "--a", str(raw), "--b", str(raw), "--width", "64", "--height", "48"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "mean,100.00"

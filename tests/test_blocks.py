@@ -96,3 +96,10 @@ def test_grid_validation():
         BlockGrid(16, 0, 3)
     with pytest.raises(ValueError):
         BlockGrid(1, 2, 2)
+
+
+def test_frame_smaller_than_block_names_both_sizes():
+    with pytest.raises(ValueError, match="8x8 frame is smaller than one 16x16 block"):
+        BlockGrid.for_frame(Frame(np.zeros((8, 8), np.uint8)), 16)
+    with pytest.raises(ValueError, match="20x6 frame is smaller than one 8x8 block"):
+        BlockGrid.for_frame(Frame(np.zeros((6, 20), np.uint8)), 8)

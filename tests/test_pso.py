@@ -9,7 +9,6 @@ from mebench import (
     MotionField,
     PsoConfig,
     estimate,
-    estimate_pso_zmp,
     inertia_weight,
     init_pattern,
     predict_mv_ros_d,
@@ -183,7 +182,7 @@ def test_pso_match_inertia_trace_matches_schedule():
 
 def test_estimate_pso_zmp_identical_frames_all_static():
     f = noise_frame(64, 80, 25)
-    field = estimate_pso_zmp(f, f, EstimatorConfig(zmp_threshold=384), seed=0)
+    field = estimate("pso-zmp", f, f, EstimatorConfig(zmp_threshold=384), seed=0)
     assert field.static_flags.all()
     assert (field.evals_per_block == 1).all()
     assert (field.vectors == 0).all()
@@ -193,7 +192,7 @@ def test_estimate_pso_zmp_saturated_difference_never_static():
     anchor = Frame(np.zeros((48, 64), np.uint8))
     target = Frame(np.full((48, 64), 255, np.uint8))
     # co-located raw cost 255*256 dwarfs the threshold-sum 384*16 = 6144
-    field = estimate_pso_zmp(anchor, target, EstimatorConfig(zmp_threshold=384), seed=0)
+    field = estimate("pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=384), seed=0)
     assert not field.static_flags.any()
     assert (field.evals_per_block > 1).all()
 
@@ -202,7 +201,7 @@ def test_estimate_pso_zmp_recovery_on_shift():
     anchor, target = shifted_pair(112, 128, (2, 1), seed=26)
     hits = total = 0
     for seed in range(5):
-        field = estimate_pso_zmp(anchor, target, EstimatorConfig(zmp_threshold=16), seed=seed)
+        field = estimate("pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=16), seed=seed)
         inner = field.vectors[1:-1, 1:-1]
         hits += int(((inner[..., 0] == 2) & (inner[..., 1] == 1)).sum())
         total += inner[..., 0].size
@@ -211,8 +210,8 @@ def test_estimate_pso_zmp_recovery_on_shift():
 
 def test_estimate_pso_zmp_output_dominates_every_evaluated_point():
     anchor, target = shifted_pair(80, 96, (-1, 2), seed=27)
-    field = estimate_pso_zmp(
-        anchor, target, EstimatorConfig(zmp_threshold=64), seed=3, keep_memos=True
+    field = estimate(
+        "pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=64), seed=3, keep_memos=True
     )
     grid = field.grid
     for index, memo in enumerate(field.memos):
@@ -224,7 +223,7 @@ def test_estimate_pso_zmp_output_dominates_every_evaluated_point():
 def test_estimate_pso_zmp_eval_budget():
     anchor, target = shifted_pair(80, 96, (2, -2), seed=28)
     cfg = PsoConfig()
-    field = estimate_pso_zmp(anchor, target, EstimatorConfig(zmp_threshold=0), pso=cfg, seed=1)
+    field = estimate("pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=0), pso=cfg, seed=1)
     # 1 prejudgment + 1 seed + 8 starts + 8 per iteration, all distinct at worst
     assert (field.evals_per_block <= 2 + 8 + 8 * cfg.iterations).all()
     assert not field.static_flags.any()  # threshold 0 never fires (strict <)
@@ -243,7 +242,7 @@ def test_estimate_pso_zmp_field_reproducible():
 def test_estimate_pso_zmp_requires_threshold():
     f = noise_frame(48, 64, 30)
     with pytest.raises(ValueError, match="threshold"):
-        estimate_pso_zmp(f, f, EstimatorConfig())
+        estimate("pso-zmp", f, f, EstimatorConfig())
 
 
 def test_evaluation_rounding_is_half_away_from_zero():

@@ -11,7 +11,7 @@ def test_y4m_two_frame_qcif(tmp_path):
     path = tmp_path / "two.y4m"
     write_y4m(path, lumas)
     seq = load_y4m(path)
-    assert seq.frame_count == 2
+    assert len(seq) == 2
     assert (seq.width, seq.height) == (176, 144)
 
 
@@ -93,7 +93,7 @@ def test_y4m_max_frames(tmp_path):
     luma = np.zeros((16, 16), np.uint8)
     path = tmp_path / "n.y4m"
     write_y4m(path, [luma] * 5)
-    assert load_y4m(path, max_frames=3).frame_count == 3
+    assert len(load_y4m(path, max_frames=3)) == 3
 
 
 def test_y4m_header_without_frames(tmp_path):
@@ -113,7 +113,7 @@ def test_raw_yuv_full_file(tmp_path):
     path = tmp_path / "clip.yuv"
     path.write_bytes(data)
     seq = load_raw_yuv(path, 176, 144)
-    assert seq.frame_count == 100
+    assert len(seq) == 100
     # each luma plane is exactly the leading w*h bytes of its frame slot
     for i in (0, 37, 99):
         start = i * QCIF_FRAME_BYTES
@@ -123,7 +123,7 @@ def test_raw_yuv_full_file(tmp_path):
 def test_raw_yuv_max_frames(tmp_path):
     path = tmp_path / "clip.yuv"
     path.write_bytes(bytes(QCIF_FRAME_BYTES * 100))
-    assert load_raw_yuv(path, 176, 144, max_frames=90).frame_count == 90
+    assert len(load_raw_yuv(path, 176, 144, max_frames=90)) == 90
 
 
 def test_raw_yuv_partial_frame(tmp_path):
@@ -136,7 +136,7 @@ def test_raw_yuv_partial_frame(tmp_path):
 def test_raw_yuv_partial_frame_excused_by_max_frames(tmp_path):
     path = tmp_path / "clip.yuv"
     path.write_bytes(bytes(QCIF_FRAME_BYTES + 1))
-    assert load_raw_yuv(path, 176, 144, max_frames=1).frame_count == 1
+    assert len(load_raw_yuv(path, 176, 144, max_frames=1)) == 1
 
 
 def test_raw_yuv_no_full_frame(tmp_path):
@@ -151,7 +151,7 @@ def test_raw_yuv_mono(tmp_path):
     path = tmp_path / "m.yuv"
     path.write_bytes(luma.tobytes() * 2)
     seq = load_raw_yuv(path, 8, 8, chroma="400")
-    assert seq.frame_count == 2
+    assert len(seq) == 2
     assert (seq[1].luma == luma).all()
 
 
