@@ -17,6 +17,12 @@ from .video_io import Frame
 MotionVector = tuple[int, int]
 
 
+def check_block_size(block_size: int) -> None:
+    """Reject a block side that cannot tile a frame (checked before any division)."""
+    if block_size < 2:
+        raise ValueError(f"block_size must be >= 2, got {block_size}")
+
+
 @dataclass(frozen=True)
 class BlockGrid:
     """Non-overlapping block_size x block_size tiling of a frame's top-left region."""
@@ -26,13 +32,13 @@ class BlockGrid:
     rows: int
 
     def __post_init__(self):
-        if self.block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {self.block_size}")
+        check_block_size(self.block_size)
         if self.cols < 1 or self.rows < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.cols}x{self.rows}")
 
     @classmethod
     def for_frame(cls, frame: Frame, block_size: int = 16) -> "BlockGrid":
+        check_block_size(block_size)
         cols, rows = frame.width // block_size, frame.height // block_size
         if cols < 1 or rows < 1:
             raise ValueError(
@@ -56,7 +62,8 @@ def block_origin(grid: BlockGrid, index: int) -> tuple[int, int]:
 def displacement_bounds(
     width: int, height: int, origin: tuple[int, int], block_size: int
 ) -> tuple[int, int, int, int]:
-    """(dx_min, dx_max, dy_min, dy_max) keeping the displaced block inside the frame."""
+    """(dx_min, dx_max, dy_min, dy_max) keeping the displaced block inside the
+    frame. The origin's x and y may be arrays, one box per element."""
     x, y = origin
     return (-x, width - block_size - x, -y, height - block_size - y)
 

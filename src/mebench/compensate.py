@@ -5,6 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .blocks import BlockGrid, displacement_bounds
 from .estimators import MotionField
 from .video_io import Frame
@@ -26,17 +29,19 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
             f"which do not tile the {anchor.width}x{anchor.height} frame"
         )
     bs = grid.block_size
+    ys, xs = np.indices((grid.rows, grid.cols)) * bs
+    dx, dy = field.vectors[..., 0], field.vectors[..., 1]
+    dx_min, dx_max, dy_min, dy_max = displacement_bounds(anchor.width, anchor.height, (xs, ys), bs)
+    illegal = (dx < dx_min) | (dx > dx_max) | (dy < dy_min) | (dy > dy_max)
+    if illegal.any():
+        row, col = np.argwhere(illegal)[0]  # the first in raster order
+        raise ValueError(
+            f"block ({col},{row}) carries illegal vector ({dx[row, col]},{dy[row, col]})"
+        )
+    # (rows, cols, bs, bs) source blocks, tiled back into (rows*bs, cols*bs)
+    blocks = sliding_window_view(anchor.luma, (bs, bs))[ys + dy, xs + dx]
     out = anchor.luma.copy()  # margins keep the co-located anchor pixels
-    for row in range(grid.rows):
-        for col in range(grid.cols):
-            x, y = col * bs, row * bs
-            dx, dy = field.vector(row, col)
-            dx_min, dx_max, dy_min, dy_max = displacement_bounds(
-                anchor.width, anchor.height, (x, y), bs
-            )
-            if not (dx_min <= dx <= dx_max and dy_min <= dy <= dy_max):
-                raise ValueError(
-                    f"block ({col},{row}) carries illegal vector ({dx},{dy})"
-                )
-            out[y : y + bs, x : x + bs] = anchor.luma[y + dy : y + dy + bs, x + dx : x + dx + bs]
+    out[: grid.rows * bs, : grid.cols * bs] = blocks.transpose(0, 2, 1, 3).reshape(
+        grid.rows * bs, grid.cols * bs
+    )
     return CompensatedFrame(Frame(out), field)

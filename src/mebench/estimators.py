@@ -3,8 +3,10 @@
 the swarm matcher of pso.py included.
 
 All searches run per block with a memoized BlockCost, so revisiting a
-displacement never inflates the evaluation count. Ties are broken uniformly
-by candidate_key (center-biased, then raster order).
+displacement never inflates the evaluation count; ES fills its whole window
+in one array op (BlockCost.box_sums) and counts every displacement in it.
+Ties are broken uniformly by candidate_key (center-biased, then raster
+order).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blocks import BlockGrid, MotionVector, block_origin
+from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
 from .metrics import BlockCost, EvalCounter, candidate_key, threshold_sum
 from .video_io import Frame
 
@@ -49,8 +51,7 @@ class EstimatorConfig:
     ds_zmp: bool = False
 
     def __post_init__(self):
-        if self.block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {self.block_size}")
+        check_block_size(self.block_size)
         if self.search_param < 1:
             raise ValueError(f"search_param must be >= 1, got {self.search_param}")
         if self.zmp_threshold is not None and self.zmp_threshold < 0:
@@ -126,11 +127,18 @@ def _walk(cost: BlockCost, center: MotionVector, pattern) -> MotionVector:
 
 
 def es_search(cost: BlockCost) -> MotionVector:
-    """Exhaustive scan of every legal displacement in the cost's window."""
-    dx_min, dx_max, dy_min, dy_max = cost.bounds
-    return _best_over(
-        cost, ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
-    )
+    """Exhaustive scan of every legal displacement in the cost's window: all
+    sums in one op, then candidate_key over the displacements tied at the
+    minimum."""
+    # The co-located point goes through BlockCost.__call__ like every other
+    # matcher's first query, so wrappers around __call__ still see ES work.
+    cost((0, 0))
+    sums = cost.box_sums()
+    dx_min, _, dy_min, _ = cost.bounds
+    best = int(sums.min())
+    ys, xs = np.nonzero(sums == best)
+    ties = [(int(x) + dx_min, int(y) + dy_min) for y, x in zip(ys, xs)]
+    return min(ties, key=lambda d: candidate_key(best, d))
 
 
 def ds_search(cost: BlockCost) -> MotionVector:
@@ -234,8 +242,8 @@ def estimate(
     field = MotionField.empty(grid)
     if keep_memos:
         field.memos = []
-    anc = anchor.luma.astype(np.int32)
-    tgt = target.luma.astype(np.int32)
+    anc = anchor.luma.astype(np.int16)
+    tgt = target.luma.astype(np.int16)
 
     for index in range(grid.n_blocks):
         row, col = index // grid.cols, index % grid.cols

@@ -1,5 +1,9 @@
 """Matching cost and reconstruction quality metrics.
 
+BlockCost is the memoized per-block cost oracle: the pattern and swarm
+searches query it one displacement at a time, and ES fills its whole window
+in one array op (box_sums), memo and evaluation count included.
+
 Cost convention: the reported SAD divides the absolute-difference sum by the
 block SIDE length N (not by N*N), so a 16x16 block's cost is sum/16. All
 searching and thresholding is done on the raw integer sum instead, so
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import MotionVector, displacement_bounds
 from .video_io import Frame, Sequence
@@ -58,7 +63,8 @@ class EvalCounter:
 class BlockCost:
     """Memoized cost oracle d -> raw SAD sum for one target block.
 
-    anchor/target are full-frame int32 arrays; origin is the block's top-left
+    anchor/target are full-frame signed integer arrays (int16 holds every
+    difference of two 8-bit pixels); origin is the block's top-left
     corner in the target frame. Candidate blocks are read from the anchor at
     origin + d, which must stay inside the frame (frame_bounds, from
     displacement_bounds). An optional window (dx_min, dx_max, dy_min, dy_max)
@@ -108,6 +114,22 @@ class BlockCost:
             c = int(np.abs(self.tgt - self.anchor[cy : cy + bs, cx : cx + bs]).sum())
             self.counter.memo[d] = c
         return c
+
+    def box_sums(self) -> np.ndarray:
+        """Raw SAD sum of every displacement in `bounds`, as a (dy, dx) array
+        whose [0, 0] is (dx_min, dy_min). Every displacement is memoized, so
+        it counts as one evaluation, as if each had been queried."""
+        dx_min, dx_max, dy_min, dy_max = self.bounds
+        bs = self.block_size
+        region = self.anchor[
+            self.y + dy_min : self.y + dy_max + bs, self.x + dx_min : self.x + dx_max + bs
+        ]
+        sums = np.abs(sliding_window_view(region, (bs, bs)) - self.tgt).sum(axis=(2, 3))
+        dxs = range(dx_min, dx_max + 1)
+        self.counter.memo.update(
+            zip(((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs), sums.ravel().tolist())
+        )
+        return sums
 
 
 def sad_at(

@@ -103,3 +103,9 @@ def test_frame_smaller_than_block_names_both_sizes():
         BlockGrid.for_frame(Frame(np.zeros((8, 8), np.uint8)), 16)
     with pytest.raises(ValueError, match="20x6 frame is smaller than one 8x8 block"):
         BlockGrid.for_frame(Frame(np.zeros((6, 20), np.uint8)), 8)
+
+
+@pytest.mark.parametrize("block_size", [0, 1])
+def test_for_frame_rejects_block_size_before_dividing(block_size):
+    with pytest.raises(ValueError, match=f"block_size must be >= 2, got {block_size}"):
+        BlockGrid.for_frame(QCIF, block_size)
