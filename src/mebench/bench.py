@@ -35,9 +35,6 @@ ZMP_THRESHOLDS = {
     "silent": 384,
 }
 
-# Algorithms that prejudge static blocks and therefore need a threshold.
-_NEEDS_THRESHOLD = ("arps", "pso-zmp")
-
 
 def resolve_zmp_threshold(input_name: str, explicit: float | None) -> float | None:
     """Explicit value if given, else the per-sequence table keyed on the
@@ -77,9 +74,7 @@ class RunSpec:
             raise ValueError(f"duplicate algorithm in selection {self.algos}")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
-        needs = [a for a in self.algos if a in _NEEDS_THRESHOLD]
-        if "ds" in self.algos and self.config.ds_zmp:
-            needs.append("ds")
+        needs = [a for a in self.algos if self.config.prejudges(a)]
         if needs and self.config.zmp_threshold is None:
             raise ValueError(
                 f"{'/'.join(needs)} need a static-block threshold and the input "

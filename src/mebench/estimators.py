@@ -1,27 +1,26 @@
 """Block matchers (exhaustive, diamond and adaptive rood pattern search) and
 `estimate`, the one raster driver that runs every matcher block by block,
-the swarm matcher of pso.py included.
+the swarm search of pso.py included.
 
-All searches run per block with a memoized BlockCost, so revisiting a
-displacement never inflates the evaluation count; ES fills its whole window
-in one array op (BlockCost.box_sums) and counts every displacement in it.
-Ties are broken uniformly by candidate_key (center-biased, then raster
-order).
+The driver alone prejudges static blocks: one co-located evaluation against
+EstimatorConfig.static_cut, ahead of the search. The searches themselves only
+search and return a vector. All searches run per block with a memoized
+BlockCost, so revisiting a displacement never inflates the evaluation count;
+ES fills its whole window in one array op (BlockCost.box_sums) and counts
+every displacement in it. Ties are broken uniformly by candidate_key
+(center-biased, then raster order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
 from .metrics import BlockCost, EvalCounter, candidate_key, threshold_sum
 from .video_io import Frame
-
-if TYPE_CHECKING:
-    from .pso import PsoConfig
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
 
@@ -35,10 +34,10 @@ class EstimatorConfig:
     """Shared matcher settings.
 
     search_param bounds the ES/DS/ARPS candidate window to |dx|,|dy| <= P.
-    zmp_threshold is the per-sequence static-block cut, required by ARPS and
-    the swarm matcher (and by DS when ds_zmp is set). The swarm matcher and
-    ds_zmp compare it against the side-normalized cost (sum/side); ARPS
-    follows its original convention and compares the raw sum, which keeps its
+    zmp_threshold is the per-sequence static-block cut, required by the
+    algorithms that prejudge (see prejudges). The swarm matcher and ds_zmp
+    compare it against the side-normalized cost (sum/side); ARPS follows its
+    original convention and compares the raw sum, which keeps its
     prejudgment far stricter at the same threshold number. Set
     arps_raw_threshold=False to give ARPS the normalized convention too.
     The field order is the key order of the config echo in meta.json.
@@ -54,16 +53,29 @@ class EstimatorConfig:
         check_block_size(self.block_size)
         if self.search_param < 1:
             raise ValueError(f"search_param must be >= 1, got {self.search_param}")
-        if self.zmp_threshold is not None and self.zmp_threshold < 0:
-            raise ValueError(f"zmp_threshold must be >= 0, got {self.zmp_threshold}")
+        if self.zmp_threshold is not None and not (
+            np.isfinite(self.zmp_threshold) and self.zmp_threshold >= 0
+        ):
+            raise ValueError(f"zmp_threshold must be finite and >= 0, got {self.zmp_threshold}")
 
-    def require_threshold(self) -> float:
+    def prejudges(self, algorithm: str) -> bool:
+        """Whether `algorithm` runs the static-block prejudgment first."""
+        return algorithm in ("arps", "pso-zmp") or (algorithm == "ds" and self.ds_zmp)
+
+    def static_cut(self, algorithm: str) -> float | None:
+        """The static-block cut of `algorithm` in raw-sum units, or None when
+        it does not prejudge. A block is static when its co-located raw sum
+        falls strictly under the cut."""
+        if not self.prejudges(algorithm):
+            return None
         if self.zmp_threshold is None:
             raise ValueError(
                 "no static-block threshold set; pass zmp_threshold "
                 "(CLI: --zmp-threshold)"
             )
-        return self.zmp_threshold
+        if algorithm == "arps" and self.arps_raw_threshold:
+            return self.zmp_threshold
+        return threshold_sum(self.zmp_threshold, self.block_size)
 
 
 @dataclass
@@ -148,39 +160,27 @@ def ds_search(cost: BlockCost) -> MotionVector:
     return _best_over(cost, _around(center, _SDSP))
 
 
-def zmp_check(cost: BlockCost, threshold: float, block_size: int) -> MotionVector | None:
-    """One co-located evaluation; (0, 0) when its cost falls under the static
-    threshold (strict), else None. The evaluation stays memoized either way."""
-    if cost((0, 0)) < threshold_sum(threshold, block_size):
+def zmp_check(cost: BlockCost, cut: float) -> MotionVector | None:
+    """One co-located evaluation; (0, 0) when its raw sum falls under the
+    static cut (strict; see EstimatorConfig.static_cut), else None. The
+    evaluation stays memoized either way."""
+    if cost((0, 0)) < cut:
         return (0, 0)
     return None
 
 
-def arps_search(
-    cost: BlockCost,
-    config: EstimatorConfig,
-    left_neighbor_mv: MotionVector | None,
-) -> tuple[MotionVector, bool]:
-    """Adaptive rood pattern search with zero-motion prejudgment.
+def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> MotionVector:
+    """Adaptive rood pattern search, run after the driver's prejudgment.
 
-    Returns (vector, static). The prejudgment compares the co-located raw
-    SAD sum against the threshold (its original convention) unless
-    config.arps_raw_threshold is off. The rood arm stretches to the
-    predictor's largest component (2 when the block has no left neighbor);
-    the predictor itself joins the initial candidate set, and a unit-rood
-    walk refines.
+    The rood arm stretches to the predictor's largest component (2 when the
+    block has no left neighbor); the predictor itself joins the initial
+    candidate set, and a unit-rood walk refines.
     """
-    threshold = config.require_threshold()
-    if not config.arps_raw_threshold:
-        threshold = threshold_sum(threshold, config.block_size)
-    if cost((0, 0)) < threshold:
-        return (0, 0), True
-
     arm = 2 if left_neighbor_mv is None else max(map(abs, left_neighbor_mv))
     candidates = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm)]
     if left_neighbor_mv is not None:
         candidates.append(left_neighbor_mv)
-    return _walk(cost, _best_over(cost, candidates), _SDSP), False
+    return _walk(cost, _best_over(cost, candidates), _SDSP)
 
 
 def predict_mv_ros_d(field_so_far: MotionField, block_index: int) -> MotionVector | None:
@@ -199,7 +199,7 @@ def estimate(
     anchor: Frame,
     target: Frame,
     config: EstimatorConfig | None = None,
-    pso: PsoConfig | None = None,
+    pso: swarm.PsoConfig | None = None,
     seed: int = 0,
     keep_memos: bool = False,
 ) -> MotionField:
@@ -207,8 +207,10 @@ def estimate(
 
     algorithm is one of es, ds, arps, pso-zmp. Blocks are processed in raster
     order; the result is a pure function of the inputs, config, and seed
-    (which only pso-zmp consumes). ES/DS/ARPS candidates stay inside the
-    search window; the swarm is bounded by frame legality alone.
+    (which only pso-zmp consumes). A block whose co-located raw sum falls
+    under the algorithm's static cut is recorded as (0, 0) after that one
+    evaluation; every other block is searched. ES/DS/ARPS candidates stay
+    inside the search window; the swarm is bounded by frame legality alone.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -218,25 +220,35 @@ def estimate(
             f"{target.width}x{target.height}"
         )
     config = config or EstimatorConfig()
+    cut = config.static_cut(algorithm)
     p = config.search_param
     window = (-p, p, -p, p)
-    # the per-block matcher: (cost, block index, field so far) -> (vector, static)
+    # the per-block search: (cost, block index, field so far) -> vector
     if algorithm == "es":
-        match = lambda cost, index, field: (es_search(cost), False)
+        search = lambda cost, index, field: es_search(cost)
     elif algorithm == "ds":
-        threshold = config.require_threshold() if config.ds_zmp else None
-
-        def match(cost, index, field):
-            if threshold is not None and zmp_check(cost, threshold, config.block_size) is not None:
-                return (0, 0), True
-            return ds_search(cost), False
-
+        search = lambda cost, index, field: ds_search(cost)
     elif algorithm == "arps":
-        match = lambda cost, index, field: arps_search(cost, config, predict_mv_ros_d(field, index))
+        search = lambda cost, index, field: arps_search(cost, predict_mv_ros_d(field, index))
     else:
-        from .pso import PsoConfig, swarm_matcher
+        swarm_config = pso or swarm.PsoConfig()
+        rng = np.random.Generator(np.random.PCG64(seed))  # the pair's stream, in raster order
+        window = None
 
-        match, window = swarm_matcher(config, pso or PsoConfig(), seed), None
+        def search(cost, index, field):
+            # Ordinary blocks recenter pattern A on the left neighbor's vector
+            # and (by default) try that prediction as a starting global best.
+            # The co-located point always joins the initial candidates, so the
+            # output never scores worse than staying put.
+            kind = swarm.select_pattern(index, field.grid)
+            center: MotionVector = (0, 0)
+            seeds: tuple[MotionVector, ...] = ((0, 0),)
+            if kind == "A":
+                center = predict_mv_ros_d(field, index)
+                if swarm_config.seed_predictor and center != (0, 0):
+                    seeds = ((0, 0), center)
+            # through the module attribute, which the benchmark's tracer wraps
+            return swarm.pso_match(cost, swarm.init_pattern(kind, center), seeds, swarm_config, rng)
 
     grid = BlockGrid.for_frame(anchor, config.block_size)
     field = MotionField.empty(grid)
@@ -249,7 +261,8 @@ def estimate(
         row, col = index // grid.cols, index % grid.cols
         counter = EvalCounter()
         cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
-        mv, static = match(cost, index, field)
+        static = cut is not None and zmp_check(cost, cut) is not None
+        mv = (0, 0) if static else search(cost, index, field)
         field.vectors[row, col] = mv
         field.evals_per_block[row, col] = counter.evals
         field.static_flags[row, col] = static

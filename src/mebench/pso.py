@@ -1,33 +1,32 @@
-"""Swarm block matcher: static-block prejudgment, left-neighbor prediction,
-edge-aware particle seeding patterns, and a fixed-iteration particle swarm.
-`estimators.estimate` runs it block by block through swarm_matcher.
+"""Swarm block search: edge-aware particle seeding patterns and a
+fixed-iteration particle swarm. `estimators.estimate` runs it on every block
+it has not prejudged static, and picks the pattern and seeds per block.
 
-Per block: one co-located evaluation decides staticness; moving blocks get
-eight particles placed by a pattern keyed to the block's grid position
-(pattern A recentered on the left neighbor's vector for ordinary blocks,
-down/up-biased corner patterns and a right-biased edge pattern for the
-leftmost column). The swarm then runs a standard inertia-weight update for a
-fixed number of iterations, with velocities clamped component-wise.
+Moving blocks get eight particles placed by a pattern keyed to the block's
+grid position (pattern A recentered on the left neighbor's vector for
+ordinary blocks, down/up-biased corner patterns and a right-biased edge
+pattern for the leftmost column). The swarm then runs a standard
+inertia-weight update for a fixed number of iterations, with velocities
+clamped component-wise; the whole swarm updates in one array expression.
 
 Particle state is continuous; positions are rounded (half away from zero)
 and clamped to the frame-legal box only when a cost is evaluated. There is
 no search-window restriction beyond frame legality.
 
-Randomness: one PCG64 stream per frame pair, held by swarm_matcher and
+Randomness: one PCG64 stream per frame pair, held by `estimate` and
 consumed in block raster order; each particle draws four uniforms per
 iteration in the fixed order (r1 for x, r2 for x, r1 for y, r2 for y),
-particles in index order.
+particles in index order, batched as one (particles, 2, 2) draw per
+iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
 from .blocks import BlockGrid, MotionVector
-from .estimators import EstimatorConfig, MotionField, predict_mv_ros_d, zmp_check
 from .metrics import BlockCost, candidate_key
 
 PATTERN_KINDS = ("A", "B", "C", "D")
@@ -60,6 +59,11 @@ class PsoConfig:
     seed_predictor: bool = True  # evaluate the predicted vector as an initial global-best candidate
 
     def __post_init__(self):
+        # The swarm clamps with np.clip, which lets NaN through, and a
+        # non-finite factor turns particle positions into NaN.
+        for name in ("w_start", "c1", "c2", "v_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.particles < 1:
             raise ValueError(f"particles must be >= 1, got {self.particles}")
         if self.iterations < 1:
@@ -100,8 +104,9 @@ def init_pattern(kind: str, center: MotionVector = (0, 0)) -> list[MotionVector]
     return [(cx + dx, cy + dy) for dx, dy in _PATTERNS[kind]]
 
 
-def _round_half_away(v: float) -> int:
-    return int(math.floor(v + 0.5)) if v >= 0 else int(math.ceil(v - 0.5))
+def _round_half_away(v: np.ndarray) -> np.ndarray:
+    """Round half away from zero, elementwise (floats in, floats out)."""
+    return np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5))
 
 
 def pso_match(
@@ -117,7 +122,8 @@ def pso_match(
 
     seed_candidates are clamped, evaluated once each, and installed as
     initial global-best candidates (they take no part in the dynamics).
-    Pattern positions are clamped before the first evaluation. When `trace`
+    Pattern positions are clamped before the first evaluation; particle i
+    starts at pattern_positions[i % len(pattern_positions)]. When `trace`
     is given, it receives one dict per iteration with copies of the swarm
     state after the velocity/position update.
     """
@@ -129,37 +135,36 @@ def pso_match(
         if gbest_key is None or k < gbest_key:
             gbest_key, gbest = k, c
 
+    dx_min, dx_max, dy_min, dy_max = cost.bounds
+    lo, hi = (dx_min, dy_min), (dx_max, dy_max)
     n = config.particles
-    starts = [cost.clamp(pattern_positions[i % len(pattern_positions)]) for i in range(n)]
-    pos = np.array(starts, dtype=np.float64)
+    pos = np.clip(np.resize(np.array(pattern_positions, dtype=np.float64), (n, 2)), lo, hi)
     vel = np.zeros((n, 2), dtype=np.float64)
     pbest = np.zeros((n, 2), dtype=np.float64)
     pbest_key: list[tuple | None] = [None] * n
 
     for t in range(config.iterations):
-        for i in range(n):
-            q = cost.clamp((_round_half_away(pos[i, 0]), _round_half_away(pos[i, 1])))
-            k = candidate_key(cost(q), q)
+        evaluated = np.clip(_round_half_away(pos), lo, hi).astype(np.int64).tolist()
+        for i, (qx, qy) in enumerate(evaluated):
+            k = candidate_key(cost((qx, qy)), (qx, qy))
             if pbest_key[i] is None or k < pbest_key[i]:
                 pbest_key[i] = k
-                pbest[i] = q
+                pbest[i] = (qx, qy)
         # synchronous global-best update after the full evaluation pass
-        for i in range(n):
-            if gbest_key is None or pbest_key[i] < gbest_key:
-                gbest_key = pbest_key[i]
-                gbest = (int(pbest[i, 0]), int(pbest[i, 1]))
+        best = min(range(n), key=pbest_key.__getitem__)
+        if gbest_key is None or pbest_key[best] < gbest_key:
+            gbest_key = pbest_key[best]
+            gbest = (int(pbest[best, 0]), int(pbest[best, 1]))
         w = inertia_weight(t, config.iterations, config.w_start, config.w_end)
-        for i in range(n):
-            for dim in range(2):
-                r1 = rng.random()
-                r2 = rng.random()
-                v = (
-                    w * vel[i, dim]
-                    + config.c1 * r1 * (pbest[i, dim] - pos[i, dim])
-                    + config.c2 * r2 * (gbest[dim] - pos[i, dim])
-                )
-                vel[i, dim] = min(max(v, -config.v_max), config.v_max)
-            pos[i] += vel[i]
+        r = rng.random((n, 2, 2))  # [particle][dim][r1, r2]
+        vel = np.clip(
+            w * vel
+            + config.c1 * r[..., 0] * (pbest - pos)
+            + config.c2 * r[..., 1] * (np.array(gbest, dtype=np.float64) - pos),
+            -config.v_max,
+            config.v_max,
+        )
+        pos += vel
         if trace is not None:
             trace.append(
                 {
@@ -172,31 +177,3 @@ def pso_match(
                 }
             )
     return gbest
-
-
-def swarm_matcher(config: EstimatorConfig, pso: PsoConfig, seed: int):
-    """Per-block matcher of `estimate` for one frame pair; holds the pair's
-    PCG64 stream.
-
-    Per block: prejudge; if static, record (0, 0) with one evaluation.
-    Otherwise pick the seeding pattern; ordinary blocks recenter pattern A on
-    the left neighbor's vector and (by default) evaluate that prediction as a
-    starting global-best candidate. The co-located point always joins the
-    initial candidates, so the output never scores worse than staying put.
-    """
-    threshold = config.require_threshold()
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    def match(cost: BlockCost, index: int, field: MotionField) -> tuple[MotionVector, bool]:
-        if zmp_check(cost, threshold, config.block_size) is not None:
-            return (0, 0), True
-        kind = select_pattern(index, field.grid)
-        center: MotionVector = (0, 0)
-        seeds: tuple[MotionVector, ...] = ((0, 0),)
-        if kind == "A":
-            center = predict_mv_ros_d(field, index)
-            if pso.seed_predictor and center != (0, 0):
-                seeds = ((0, 0), center)
-        return pso_match(cost, init_pattern(kind, center), seeds, pso, rng), False
-
-    return match

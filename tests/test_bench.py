@@ -135,6 +135,16 @@ def test_missing_threshold_is_instructive(tmp_path):
     spec = RunSpec(input=str(path), algos=["arps", "pso-zmp"], out_dir=str(tmp_path / "o"))
     with pytest.raises(ValueError, match="--zmp-threshold"):
         run(spec)
+    # the algorithms that prejudge, named in --algos order
+    spec = RunSpec(
+        input=str(path),
+        algos=["es", "ds", "arps"],
+        config=EstimatorConfig(ds_zmp=True),
+        out_dir=str(tmp_path / "o"),
+    )
+    with pytest.raises(ValueError, match="^ds/arps need a static-block threshold"):
+        run(spec)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_requires_two_frames(tmp_path):
@@ -297,6 +307,23 @@ def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
     assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
     assert "--seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--zmp-threshold", "nan", "zmp_threshold must be finite"),
+        ("--zmp-threshold", "inf", "zmp_threshold must be finite"),
+        ("--vmax", "nan", "v_max must be finite"),
+        ("--vmax", "inf", "v_max must be finite"),
+    ],
+)
+def test_cli_non_finite_value_is_usage_error(tmp_path, capsys, flag, value, message):
+    path = make_clip(tmp_path, n_frames=2)
+    argv = ["run", "--input", str(path), "--algos", "pso-zmp", "--zmp-threshold", "64"]
+    assert main([*argv, flag, value, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # no meta.json with a bare NaN
 
 
 @pytest.mark.parametrize("frames", ["0", "-2"])

@@ -11,6 +11,7 @@ from mebench import (
     ds_search,
     es_search,
     estimate,
+    zmp_check,
 )
 from mebench.metrics import BlockCost
 
@@ -149,19 +150,20 @@ def test_ds_never_beats_es():
 
 def test_arps_static_block_single_eval():
     f = noise_frame(64, 80, 10)
-    cfg = EstimatorConfig(zmp_threshold=384)
-    cost, counter = make_cost(f, f, (16, 16), window=(-7, 7, -7, 7))
-    mv, static = arps_search(cost, cfg, left_neighbor_mv=None)
-    assert mv == (0, 0) and static
-    assert counter.evals == 1
+    field = estimate("arps", f, f, EstimatorConfig(zmp_threshold=384), keep_memos=True)
+    assert field.static_flags.all()
+    assert (field.vectors == 0).all()
+    assert (field.evals_per_block == 1).all()
+    assert all(memo == {(0, 0): 0} for memo in field.memos)
 
 
 def test_arps_finds_unit_shift_from_zero_predictor():
     anchor, target = shifted_pair(80, 96, (1, 0), seed=11)
-    cfg = EstimatorConfig(zmp_threshold=16)
+    cut = EstimatorConfig(zmp_threshold=16).static_cut("arps")
     cost, counter = make_cost(anchor, target, (32, 32), window=(-7, 7, -7, 7))
-    mv, static = arps_search(cost, cfg, left_neighbor_mv=(0, 0))
-    assert mv == (1, 0) and not static
+    assert zmp_check(cost, cut) is None  # the driver's prejudgment: moving
+    mv = arps_search(cost, left_neighbor_mv=(0, 0))
+    assert mv == (1, 0)
     # visited lattice: prejudgment point, unit rood at (0,0) [4 fresh],
     # unit rood at (1,0) [(2,0),(1,1),(1,-1) fresh]
     assert counter.evals == 8
@@ -169,10 +171,11 @@ def test_arps_finds_unit_shift_from_zero_predictor():
 
 def test_arps_uses_predictor_arm():
     anchor, target = shifted_pair(96, 112, (4, 0), seed=12)
-    cfg = EstimatorConfig(zmp_threshold=16)
+    cut = EstimatorConfig(zmp_threshold=16).static_cut("arps")
     cost, counter = make_cost(anchor, target, (48, 48), window=(-7, 7, -7, 7))
-    mv, static = arps_search(cost, cfg, left_neighbor_mv=(4, 0))
-    assert mv == (4, 0) and not static
+    assert zmp_check(cost, cut) is None
+    mv = arps_search(cost, left_neighbor_mv=(4, 0))
+    assert mv == (4, 0)
     # the predictor point is evaluated directly, so the rood stage lands on it
     assert (4, 0) in cost.counter.memo
 
@@ -180,13 +183,12 @@ def test_arps_uses_predictor_arm():
 def test_arps_never_beats_es():
     anchor = Frame(smooth_texture(48, 64, seed=13))
     target = noise_frame(48, 64, 14)
-    cfg = EstimatorConfig(zmp_threshold=384)
     grid = BlockGrid.for_frame(anchor)
     left = None
     for index in range(grid.cols):  # one raster row with propagating predictor
         origin = block_origin(grid, index)
         cost, _ = make_cost(anchor, target, origin, window=(-7, 7, -7, 7))
-        mv, _ = arps_search(cost, cfg, left)
+        mv = arps_search(cost, left)
         es_cost, _ = brute_force_best(anchor, target, origin, p=7)
         assert cost(mv) >= es_cost
         left = mv
@@ -209,6 +211,26 @@ def test_ds_zmp_variant():
     field = estimate("ds", f, f, EstimatorConfig(zmp_threshold=384, ds_zmp=True))
     assert field.static_flags.all()
     assert (field.evals_per_block == 1).all()
+
+
+def test_static_cut_per_algorithm():
+    cfg = EstimatorConfig(block_size=8, zmp_threshold=12.5)
+    assert cfg.static_cut("es") is None
+    assert cfg.static_cut("ds") is None  # ds prejudges only with ds_zmp
+    assert cfg.static_cut("arps") == 12.5  # raw-sum convention
+    assert cfg.static_cut("pso-zmp") == 12.5 * 8
+    assert EstimatorConfig(block_size=8, zmp_threshold=12.5, ds_zmp=True).static_cut("ds") == 100
+    normalized = EstimatorConfig(block_size=8, zmp_threshold=12.5, arps_raw_threshold=False)
+    assert normalized.static_cut("arps") == 100
+    with pytest.raises(ValueError, match="no static-block threshold"):
+        EstimatorConfig().static_cut("pso-zmp")
+    assert EstimatorConfig().static_cut("es") is None  # no threshold needed
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_threshold_rejected(value):
+    with pytest.raises(ValueError, match="zmp_threshold must be finite"):
+        EstimatorConfig(zmp_threshold=value)
 
 
 def test_arps_requires_threshold():

@@ -50,7 +50,7 @@ def single_block_frames(target_pixel=None):
 def test_zmp_static_hit():
     anchor, target = single_block_frames()
     cost, counter = make_cost(anchor, target, (0, 0))
-    assert zmp_check(cost, 384, 16) == (0, 0)
+    assert zmp_check(cost, EstimatorConfig(zmp_threshold=384).static_cut("pso-zmp")) == (0, 0)
     assert counter.evals == 1
     assert counter.memo[(0, 0)] == 0  # stays memoized for reuse
 
@@ -59,9 +59,9 @@ def test_zmp_threshold_is_strict():
     # raw cost 64 equals threshold 4 * block side 16 exactly -> not static
     anchor, target = single_block_frames(target_pixel=64)
     cost, _ = make_cost(anchor, target, (0, 0))
-    assert zmp_check(cost, 4, 16) is None
+    assert zmp_check(cost, EstimatorConfig(zmp_threshold=4).static_cut("pso-zmp")) is None
     cost2, _ = make_cost(anchor, target, (0, 0))
-    assert zmp_check(cost2, 4.1, 16) == (0, 0)
+    assert zmp_check(cost2, EstimatorConfig(zmp_threshold=4.1).static_cut("pso-zmp")) == (0, 0)
 
 
 def test_ros_d_prediction(qcif_grid):
@@ -264,3 +264,10 @@ def test_pso_config_validation():
         PsoConfig(w_start=0.3, w_end=0.4)
     with pytest.raises(ValueError):
         PsoConfig(v_max=0)
+
+
+@pytest.mark.parametrize("name", ["w_start", "c1", "c2", "v_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_pso_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PsoConfig(**{name: value})

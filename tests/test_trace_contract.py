@@ -1,6 +1,8 @@
 """The benchmark's tracer (benchmarks/tracing.py) wraps mebench names and reads
-memo hits off BlockCost.__call__. A renamed target, or ES no longer calling
-__call__, turns its per-layer metrics into null; these tests catch both."""
+memo hits off BlockCost.__call__. A renamed target, ES no longer calling
+__call__, or `estimate` binding pso_match at import time (so the wrapped
+module attribute is never called) turns its per-layer metrics into null or
+zero; these tests catch all three."""
 
 from __future__ import annotations
 
@@ -9,10 +11,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from mebench import estimate
+from mebench import EstimatorConfig, Frame, estimate, pso
 from mebench.metrics import BlockCost
 
-from conftest import shifted_pair
+from conftest import shifted_pair, smooth_texture
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -50,3 +52,23 @@ def test_es_makes_memo_miss_calls(monkeypatch):
     anchor, target = shifted_pair(48, 64, (2, 1), seed=0)
     field = estimate("es", anchor, target)
     assert sum(misses) >= field.grid.n_blocks  # at least one per block
+
+
+def test_swarm_searches_through_the_module_attribute(monkeypatch):
+    match = pso.pso_match
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].counter)
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(pso, "pso_match", counted)
+    # a static background with one moving 32x32 patch: both kinds of block
+    anchor = smooth_texture(64, 96, seed=3)
+    target = anchor.copy()
+    target[16:48, 32:64] = smooth_texture(32, 32, seed=4)
+    field = estimate("pso-zmp", Frame(anchor), Frame(target), EstimatorConfig(zmp_threshold=8))
+    moving = field.grid.n_blocks - field.static_count
+    assert 0 < moving < field.grid.n_blocks
+    assert len(calls) == moving
+    assert sum(c.evals for c in calls) == int(field.evals_per_block[~field.static_flags].sum())
