@@ -7,7 +7,7 @@ vector (dx, dy) when its best match in the anchor frame sits at
 
 __version__ = "0.1.0"
 
-from .blocks import BlockGrid, MotionVector, block_origin, clamp_displacement, extract_block
+from .blocks import BlockGrid, MotionVector, block_origin, clamp_displacement
 from .compensate import CompensatedFrame, compensate
 from .estimators import (
     ALGORITHMS,
@@ -18,7 +18,6 @@ from .estimators import (
     es_search,
     estimate,
     predict_mv_ros_d,
-    zmp_check,
 )
 from .metrics import (
     EvalCounter,
@@ -26,7 +25,6 @@ from .metrics import (
     candidate_key,
     frame_psnr,
     psnr,
-    sad,
     sad_at,
     sad_sum,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "ds_search",
     "es_search",
     "estimate",
-    "extract_block",
     "frame_psnr",
     "inertia_weight",
     "init_pattern",
@@ -70,10 +67,8 @@ __all__ = [
     "psnr",
     "pso_match",
     "read_pgm",
-    "sad",
     "sad_at",
     "sad_sum",
     "select_pattern",
     "write_pgm",
-    "zmp_check",
 ]

@@ -277,7 +277,7 @@ def dump_mv_field(field: MotionField, path: str | Path) -> None:
 
 def load_mv_field(path: str | Path) -> MotionField:
     """Parse a dump_mv_field file back into a MotionField."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines() or [""]
     head = lines[0].split()
     if len(head) != 5 or head[0] != "MVF" or head[1] != "v1":
         raise ValueError(f"bad MVF header {lines[0]!r}")
@@ -288,10 +288,12 @@ def load_mv_field(path: str | Path) -> MotionField:
         raise ValueError(f"MVF body holds {len(lines) - 1} lines, expected {grid.n_blocks}")
     for i, line in enumerate(lines[1:]):
         dx, dy, evals, static = line.split()
+        if static not in ("0", "1"):
+            raise ValueError(f"MVF line {i + 2} {line!r}: static flag must be 0 or 1")
         row, col = i // cols, i % cols
         field.vectors[row, col] = (int(dx), int(dy))
         field.evals_per_block[row, col] = int(evals)
-        field.static_flags[row, col] = bool(int(static))
+        field.static_flags[row, col] = static == "1"
     return field
 
 

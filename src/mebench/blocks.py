@@ -1,4 +1,4 @@
-"""Macroblock partition of a frame and displaced-block extraction.
+"""Macroblock partition of a frame and the frame-legal displacement box.
 
 A motion vector (dx, dy) names where a block's content sits in the anchor
 frame: the block at origin (x, y) in the target frame matches the anchor
@@ -8,8 +8,6 @@ pixels at (x + dx, y + dy). Compensation reads anchor[y+dy : , x+dx : ].
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .video_io import Frame
 
@@ -80,22 +78,3 @@ def clamp_displacement(
     dy = min(max(d[1], dy_min), dy_max)
     return (dx, dy)
 
-
-def extract_block(
-    frame: Frame, origin: tuple[int, int], d: MotionVector, block_size: int
-) -> np.ndarray:
-    """The block_size x block_size pixels at origin displaced by d.
-
-    The caller must have clamped d already; an out-of-frame read is a
-    contract violation and raises rather than clamping silently.
-    """
-    dx_min, dx_max, dy_min, dy_max = displacement_bounds(
-        frame.width, frame.height, origin, block_size
-    )
-    x, y = origin[0] + d[0], origin[1] + d[1]
-    if not (dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max):
-        raise ValueError(
-            f"displaced block at ({x},{y}) size {block_size} leaves the "
-            f"{frame.width}x{frame.height} frame; clamp the displacement first"
-        )
-    return frame.luma[y : y + block_size, x : x + block_size]

@@ -2,10 +2,13 @@
 `estimate`, the one raster driver that runs every matcher block by block,
 the swarm search of pso.py included.
 
-The driver alone prejudges static blocks: one co-located evaluation against
-EstimatorConfig.static_cut, ahead of the search. The searches themselves only
-search and return a vector. All searches run per block with a memoized
-BlockCost, so revisiting a displacement never inflates the evaluation count;
+The driver alone prejudges static blocks, as one frame-level op ahead of any
+search: every block's co-located raw sum against EstimatorConfig.static_cut,
+the one place the threshold is converted to raw-sum units. That sum is each
+block's first memo entry, one evaluation; static blocks stop there. The
+searches themselves only search and return a vector. Every moving block is
+searched with a memoized BlockCost, so revisiting a displacement never
+inflates the evaluation count;
 ES fills its whole window in one array op (BlockCost.box_sums) and counts
 every displacement in it. Ties are broken uniformly by candidate_key
 (center-biased, then raster order).
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
-from .metrics import BlockCost, EvalCounter, candidate_key, threshold_sum
+from .metrics import BlockCost, EvalCounter, candidate_key
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
@@ -75,7 +78,7 @@ class EstimatorConfig:
             )
         if algorithm == "arps" and self.arps_raw_threshold:
             return self.zmp_threshold
-        return threshold_sum(self.zmp_threshold, self.block_size)
+        return self.zmp_threshold * self.block_size  # sum/N units to raw sum
 
 
 @dataclass
@@ -160,15 +163,6 @@ def ds_search(cost: BlockCost) -> MotionVector:
     return _best_over(cost, _around(center, _SDSP))
 
 
-def zmp_check(cost: BlockCost, cut: float) -> MotionVector | None:
-    """One co-located evaluation; (0, 0) when its raw sum falls under the
-    static cut (strict; see EstimatorConfig.static_cut), else None. The
-    evaluation stays memoized either way."""
-    if cost((0, 0)) < cut:
-        return (0, 0)
-    return None
-
-
 def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> MotionVector:
     """Adaptive rood pattern search, run after the driver's prejudgment.
 
@@ -208,9 +202,10 @@ def estimate(
     algorithm is one of es, ds, arps, pso-zmp. Blocks are processed in raster
     order; the result is a pure function of the inputs, config, and seed
     (which only pso-zmp consumes). A block whose co-located raw sum falls
-    under the algorithm's static cut is recorded as (0, 0) after that one
-    evaluation; every other block is searched. ES/DS/ARPS candidates stay
-    inside the search window; the swarm is bounded by frame legality alone.
+    strictly under the algorithm's static cut is recorded as (0, 0) at that
+    one evaluation, with no search; every other block is searched. ES/DS/ARPS
+    candidates stay inside the search window; the swarm is bounded by frame
+    legality alone.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -256,16 +251,26 @@ def estimate(
         field.memos = []
     anc = anchor.luma.astype(np.int16)
     tgt = target.luma.astype(np.int16)
+    colocated = [None] * grid.n_blocks
+    if cut is not None:
+        # Every block's co-located raw sum in one op over the tiled region. It
+        # is each memo's first entry, as it is every matcher's first query.
+        bs, rows, cols = config.block_size, grid.rows, grid.cols
+        diff = np.abs(anc[: rows * bs, : cols * bs] - tgt[: rows * bs, : cols * bs])
+        sums = diff.reshape(rows, bs, cols, bs).sum(axis=(1, 3))
+        field.static_flags[...] = sums < cut
+        field.evals_per_block[...] = 1
+        colocated = sums.ravel().tolist()
 
-    for index in range(grid.n_blocks):
-        row, col = index // grid.cols, index % grid.cols
-        counter = EvalCounter()
-        cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
-        static = cut is not None and zmp_check(cost, cut) is not None
-        mv = (0, 0) if static else search(cost, index, field)
-        field.vectors[row, col] = mv
-        field.evals_per_block[row, col] = counter.evals
-        field.static_flags[row, col] = static
+    static = field.static_flags.ravel().tolist()
+    for index, s in enumerate(colocated):
+        memo = {} if s is None else {(0, 0): s}
+        if not static[index]:
+            counter = EvalCounter(memo)
+            cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
+            row, col = index // grid.cols, index % grid.cols
+            field.vectors[row, col] = search(cost, index, field)
+            field.evals_per_block[row, col] = counter.evals
         if keep_memos:
-            field.memos.append(counter.memo)
+            field.memos.append(memo)
     return field

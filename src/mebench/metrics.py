@@ -4,11 +4,11 @@ BlockCost is the memoized per-block cost oracle: the pattern and swarm
 searches query it one displacement at a time, and ES fills its whole window
 in one array op (box_sums), memo and evaluation count included.
 
-Cost convention: the reported SAD divides the absolute-difference sum by the
-block SIDE length N (not by N*N), so a 16x16 block's cost is sum/16. All
-searching and thresholding is done on the raw integer sum instead, so
-comparisons stay exact; threshold_sum is the one place that converts a
-divided-by-N threshold into raw-sum units.
+Cost convention: every cost is the raw integer sum of absolute differences,
+so comparisons stay exact. The static-block threshold is given in sum/N
+units (N the block side); EstimatorConfig.static_cut is the one place that
+converts it to a raw-sum cut, and `estimate` prejudges a whole frame against
+it in one array op, so static blocks never reach a BlockCost.
 """
 
 from __future__ import annotations
@@ -33,27 +33,16 @@ def sad_sum(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
 
 
-def sad(a: np.ndarray, b: np.ndarray) -> float:
-    """Side-normalized SAD between two N x N blocks: |a - b| summed, over N."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"blocks must be square, got {a.shape}")
-    return sad_sum(a, b) / a.shape[0]
-
-
-def threshold_sum(threshold: float, block_size: int) -> float:
-    """Convert a side-normalized cost threshold to raw-sum units."""
-    return threshold * block_size
-
-
 class EvalCounter:
     """Per-block ledger of distinct cost evaluations.
 
     memo maps each clamped displacement to its raw SAD sum; re-querying a
-    memoized displacement is free and does not count as new work.
+    memoized displacement is free and does not count as new work. A given
+    memo is used in place, entries already in it included.
     """
 
-    def __init__(self):
-        self.memo: dict[MotionVector, int] = {}
+    def __init__(self, memo: dict[MotionVector, int] | None = None):
+        self.memo: dict[MotionVector, int] = {} if memo is None else memo
 
     @property
     def evals(self) -> int:
@@ -184,24 +173,13 @@ def frame_psnr(a: Frame, b: Frame) -> float:
     return min(float(10.0 * np.log10(255.0 * 255.0 / mse)), PSNR_CAP_DB)
 
 
-def psnr(
-    original: Sequence,
-    compensated: Sequence,
-    frame_range: tuple[int, int] | None = None,
-) -> PsnrReport:
-    """Per-frame PSNR of compensated vs original over [start, stop)."""
+def psnr(original: Sequence, compensated: Sequence) -> PsnrReport:
+    """Per-frame PSNR of compensated vs original."""
     if original.width != compensated.width or original.height != compensated.height:
         raise ValueError(
             f"sequences differ in size: {original.width}x{original.height} vs "
             f"{compensated.width}x{compensated.height}"
         )
-    start, stop = frame_range if frame_range is not None else (0, None)
-    a_frames = original.frames[start:stop]
-    b_frames = compensated.frames[start:stop]
-    if len(a_frames) != len(b_frames):
-        raise ValueError(
-            f"sequences differ in length over range: {len(a_frames)} vs {len(b_frames)}"
-        )
-    if not a_frames:
-        raise ValueError("empty frame range")
-    return PsnrReport([frame_psnr(a, b) for a, b in zip(a_frames, b_frames)])
+    if len(original) != len(compensated):
+        raise ValueError(f"sequences differ in length: {len(original)} vs {len(compensated)}")
+    return PsnrReport([frame_psnr(a, b) for a, b in zip(original.frames, compensated.frames)])

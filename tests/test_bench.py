@@ -206,6 +206,20 @@ def test_mvf_roundtrip(tmp_path):
     assert (back.static_flags == field.static_flags).all()
 
 
+def test_mvf_empty_file_names_the_header(tmp_path):
+    path = tmp_path / "empty.mvf"
+    path.write_text("")
+    with pytest.raises(ValueError, match="bad MVF header ''"):
+        load_mv_field(path)
+
+
+def test_mvf_static_flag_must_be_0_or_1(tmp_path):
+    path = tmp_path / "flag.mvf"
+    path.write_text("MVF v1 1 1 16\n0 0 1 7\n")
+    with pytest.raises(ValueError, match="MVF line 2 '0 0 1 7': static flag must be 0 or 1"):
+        load_mv_field(path)
+
+
 def test_cli_run_end_to_end(tmp_path, capsys):
     path = make_clip(tmp_path, n_frames=3)
     out = tmp_path / "cli_out"

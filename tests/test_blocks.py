@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from mebench import BlockGrid, Frame, block_origin, clamp_displacement, extract_block
-
-from conftest import noise_frame
+from mebench import BlockGrid, Frame, block_origin, clamp_displacement
 
 QCIF = Frame(np.zeros((144, 176), np.uint8))
 
@@ -56,29 +54,6 @@ def test_clamp_keeps_block_inside(qcif_grid):
         dx, dy = clamp_displacement(qcif_grid, QCIF, origin, d)
         x, y = origin[0] + dx, origin[1] + dy
         assert 0 <= x <= 176 - 16 and 0 <= y <= 144 - 16
-
-
-def test_extract_colocated():
-    frame = noise_frame(48, 64, 1)
-    block = extract_block(frame, (16, 16), (0, 0), 16)
-    assert (block == frame.luma[16:32, 16:32]).all()
-
-
-def test_extract_gradient_shift():
-    # luma(x, y) = x, so a (1, 0) displacement raises every sample by 1
-    luma = np.tile(np.arange(64, dtype=np.uint8), (48, 1))
-    frame = Frame(luma)
-    base = extract_block(frame, (16, 16), (0, 0), 16).astype(int)
-    moved = extract_block(frame, (16, 16), (1, 0), 16).astype(int)
-    assert (moved - base == 1).all()
-
-
-def test_extract_out_of_bounds():
-    frame = noise_frame(48, 64, 2)
-    with pytest.raises(ValueError):
-        extract_block(frame, (48, 32), (1, 0), 16)
-    with pytest.raises(ValueError):
-        extract_block(frame, (0, 0), (0, -1), 16)
 
 
 def test_partition_covers_tiled_region_once():

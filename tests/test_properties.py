@@ -311,3 +311,5 @@ def test_estimate_invariants(pair, algorithm, p, threshold, arps_raw_threshold, 
         assert bool(field.static_flags[row, col]) == static
         if static:
             assert (dx, dy) == (0, 0) and memo == {(0, 0): colocated}
+        elif cut is not None:  # a moving block's search starts from the prejudged sum
+            assert next(iter(memo.items())) == ((0, 0), colocated)

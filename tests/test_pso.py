@@ -14,7 +14,6 @@ from mebench import (
     predict_mv_ros_d,
     pso_match,
     select_pattern,
-    zmp_check,
 )
 from mebench.metrics import BlockCost
 
@@ -49,19 +48,22 @@ def single_block_frames(target_pixel=None):
 
 def test_zmp_static_hit():
     anchor, target = single_block_frames()
-    cost, counter = make_cost(anchor, target, (0, 0))
-    assert zmp_check(cost, EstimatorConfig(zmp_threshold=384).static_cut("pso-zmp")) == (0, 0)
-    assert counter.evals == 1
-    assert counter.memo[(0, 0)] == 0  # stays memoized for reuse
+    config = EstimatorConfig(zmp_threshold=384)
+    field = estimate("pso-zmp", anchor, target, config, keep_memos=True)
+    assert field.static_flags.all() and field.vector(0, 0) == (0, 0)
+    assert field.total_evals == 1
+    assert field.memos == [{(0, 0): 0}]  # the one co-located evaluation
 
 
 def test_zmp_threshold_is_strict():
     # raw cost 64 equals threshold 4 * block side 16 exactly -> not static
     anchor, target = single_block_frames(target_pixel=64)
-    cost, _ = make_cost(anchor, target, (0, 0))
-    assert zmp_check(cost, EstimatorConfig(zmp_threshold=4).static_cut("pso-zmp")) is None
-    cost2, _ = make_cost(anchor, target, (0, 0))
-    assert zmp_check(cost2, EstimatorConfig(zmp_threshold=4.1).static_cut("pso-zmp")) == (0, 0)
+    field = estimate("pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=4), keep_memos=True)
+    assert not field.static_flags.any()
+    assert next(iter(field.memos[0].items())) == ((0, 0), 64)
+    field = estimate("pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=4.1), keep_memos=True)
+    assert field.static_flags.all()
+    assert field.memos == [{(0, 0): 64}]
 
 
 def test_ros_d_prediction(qcif_grid):

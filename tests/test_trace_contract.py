@@ -2,7 +2,9 @@
 memo hits off BlockCost.__call__. A renamed target, ES no longer calling
 __call__, or `estimate` binding pso_match at import time (so the wrapped
 module attribute is never called) turns its per-layer metrics into null or
-zero; these tests catch all three."""
+zero; these tests catch all three. They also hold `estimate` to prejudging
+a whole frame before building any per-block cost oracle, and the package's
+`__all__` to names that exist."""
 
 from __future__ import annotations
 
@@ -11,7 +13,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from mebench import EstimatorConfig, Frame, estimate, pso
+import numpy as np
+import pytest
+
+import mebench
+from mebench import EstimatorConfig, Frame, block_origin, estimate, pso
 from mebench.metrics import BlockCost
 
 from conftest import shifted_pair, smooth_texture
@@ -54,6 +60,14 @@ def test_es_makes_memo_miss_calls(monkeypatch):
     assert sum(misses) >= field.grid.n_blocks  # at least one per block
 
 
+def static_and_patch_clip() -> tuple[Frame, Frame]:
+    """A static background with one moving 32x32 patch: both kinds of block."""
+    anchor = smooth_texture(64, 96, seed=3)
+    target = anchor.copy()
+    target[16:48, 32:64] = smooth_texture(32, 32, seed=4)
+    return Frame(anchor), Frame(target)
+
+
 def test_swarm_searches_through_the_module_attribute(monkeypatch):
     match = pso.pso_match
     calls = []
@@ -63,12 +77,29 @@ def test_swarm_searches_through_the_module_attribute(monkeypatch):
         return match(*args, **kwargs)
 
     monkeypatch.setattr(pso, "pso_match", counted)
-    # a static background with one moving 32x32 patch: both kinds of block
-    anchor = smooth_texture(64, 96, seed=3)
-    target = anchor.copy()
-    target[16:48, 32:64] = smooth_texture(32, 32, seed=4)
-    field = estimate("pso-zmp", Frame(anchor), Frame(target), EstimatorConfig(zmp_threshold=8))
+    field = estimate("pso-zmp", *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8))
     moving = field.grid.n_blocks - field.static_count
     assert 0 < moving < field.grid.n_blocks
     assert len(calls) == moving
     assert sum(c.evals for c in calls) == int(field.evals_per_block[~field.static_flags].sum())
+
+
+@pytest.mark.parametrize("algorithm", ["arps", "pso-zmp"])
+def test_static_blocks_build_no_cost_oracle(monkeypatch, algorithm):
+    init = BlockCost.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args[2])  # origin
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockCost, "__init__", counted)
+    field = estimate(algorithm, *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8))
+    assert 0 < field.static_count < field.grid.n_blocks
+    assert built == [block_origin(field.grid, i) for i in np.flatnonzero(~field.static_flags)]
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from mebench import *", namespace)
+    assert set(mebench.__all__) <= set(namespace)
