@@ -191,3 +191,57 @@ def test_sequence_dimension_homogeneity():
     b = Frame(np.zeros((16, 32), np.uint8))
     with pytest.raises(ValueError, match="frame 1"):
         Sequence((a, b))
+
+
+def _y4m_two_frames_cut_10() -> bytes:
+    luma = bytes(16 * 16)
+    frame = b"FRAME\n" + luma + bytes(8 * 8 * 2)
+    return (b"YUV4MPEG2 W16 H16\n" + frame * 2)[:-10]
+
+
+# The full text of every VideoFormatError the two decoders raise.
+DECODER_ERRORS = [
+    ("y4m", b"YUV4MPEG2 W16 H16", "no newline-terminated stream header found"),
+    ("y4m", b"YUV4MPEG9 W16 H16\n", "bad signature token b'YUV4MPEG9', expected 'YUV4MPEG2'"),
+    ("y4m", b"YUV4MPEG2 H16\n", "missing required header token 'W' (frame width)"),
+    ("y4m", b"YUV4MPEG2 W16\n", "missing required header token 'H' (frame height)"),
+    ("y4m", b"YUV4MPEG2 W16 H1x6\n", "unparseable header token 'H1x6'"),
+    ("y4m", b"YUV4MPEG2 W0 H16\n", "non-positive dimensions 0x16 in header"),
+    ("y4m", b"YUV4MPEG2 W16 H16 C444\n", "unsupported chroma token 'C444'"),
+    ("y4m", b"YUV4MPEG2 W15 H16\n", "4:2:0 needs even dimensions, got 15x16"),
+    ("y4m", b"YUV4MPEG2 W16 H16 Cmono\nFRAME", "frame 0: unterminated FRAME marker"),
+    (
+        "y4m",
+        b"YUV4MPEG2 W16 H16 Cmono\nFRAMX\n" + bytes(256),
+        "frame 0: expected FRAME marker, got b'FRAMX'",
+    ),
+    ("y4m", _y4m_two_frames_cut_10(), "frame 1: truncated payload, 374 of 384 bytes present"),
+    ("y4m", b"YUV4MPEG2 W16 H16 Cmono\n", "stream contains no frames"),
+    ("yuv", bytes(100), "file holds no full 176x144 frame (100 bytes, frame size 38016)"),
+    ("yuv", b"", "file holds no full 176x144 frame (0 bytes, frame size 38016)"),
+    (
+        "yuv",
+        bytes(2 * QCIF_FRAME_BYTES + 5),
+        "trailing partial frame: 5 bytes remain after 2 full frames",
+    ),
+]
+
+
+@pytest.mark.parametrize("container,data,message", DECODER_ERRORS)
+def test_decoder_error_text(tmp_path, container, data, message):
+    path = tmp_path / f"clip.{container}"
+    path.write_bytes(data)
+    with pytest.raises(VideoFormatError) as info:
+        if container == "y4m":
+            load_y4m(path)
+        else:
+            load_raw_yuv(path, 176, 144)
+    assert str(info.value) == message
+
+
+def test_raw_yuv_unsupported_chroma_text(tmp_path):
+    path = tmp_path / "clip.yuv"
+    path.write_bytes(bytes(QCIF_FRAME_BYTES))
+    with pytest.raises(VideoFormatError) as info:
+        load_raw_yuv(path, 176, 144, chroma="422")
+    assert str(info.value) == "unsupported chroma format '422'"
