@@ -8,7 +8,7 @@ Output files (in the run's output directory):
   meta.json      config echo, seed, eval-counting policy, code version
 
 Ratios (avg_evals, static_fraction, gains) are exact integer ratios rendered
-half-up to three decimals, so identical runs produce byte-identical files.
+half-up to three decimals, in the files and on stdout alike; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .blocks import BlockGrid
@@ -88,16 +90,7 @@ class FrameRow:
     algo: str
     evals_total: int
     static_blocks: int
-    n_blocks: int
     psnr_db: float
-
-    @property
-    def avg_evals(self) -> float:
-        return self.evals_total / self.n_blocks
-
-    @property
-    def static_fraction(self) -> float:
-        return self.static_blocks / self.n_blocks
 
 
 @dataclass
@@ -140,6 +133,18 @@ def ratio_3dp(numer: int, denom: int) -> str:
     if 2 * r >= denom:
         q += 1
     return f"{q // 1000}.{q % 1000:03d}"
+
+
+def summary_cells(report: SequenceReport) -> list[list[str]]:
+    """Per algorithm: name, mean PSNR, mean evals, static fraction, then its
+    gain over each of report.algos. Every summary renderer prints these cells."""
+    totals = [report.total_evals(a) for a in report.algos]
+    n = report.block_count
+    return [
+        [a, f"{report.mean_psnr(a):.2f}", ratio_3dp(t, n), ratio_3dp(report.static_blocks(a), n)]
+        + [ratio_3dp(over, t) for over in totals]
+        for a, t in zip(report.algos, totals)
+    ]
 
 
 def _input_format(path: str | Path, fmt: str | None = None) -> str:
@@ -198,7 +203,6 @@ def run(spec: RunSpec) -> SequenceReport:
                     algo=algo,
                     evals_total=field.total_evals,
                     static_blocks=field.static_count,
-                    n_blocks=grid.n_blocks,
                     psnr_db=frame_psnr(target, recon.frame),
                 )
             )
@@ -240,21 +244,16 @@ def write_csv(report: SequenceReport, out_dir: str | Path) -> None:
     lines = ["frame,algo,avg_evals,psnr_db,static_fraction"]
     for r in report.rows:
         lines.append(
-            f"{r.frame},{r.algo},{ratio_3dp(r.evals_total, r.n_blocks)},"
-            f"{r.psnr_db:.2f},{ratio_3dp(r.static_blocks, r.n_blocks)}"
+            f"{r.frame},{r.algo},{ratio_3dp(r.evals_total, report.n_blocks)},"
+            f"{r.psnr_db:.2f},{ratio_3dp(r.static_blocks, report.n_blocks)}"
         )
     (out / "per_frame.csv").write_text("\n".join(lines) + "\n")
 
-    lines = ["algo,mean_psnr_db,mean_evals"]
-    for a in report.algos:
-        mean_evals = ratio_3dp(report.total_evals(a), report.block_count)
-        lines.append(f"{a},{report.mean_psnr(a):.2f},{mean_evals}")
+    cells = summary_cells(report)
+    lines = ["algo,mean_psnr_db,mean_evals", *(",".join(c[:3]) for c in cells)]
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
 
-    lines = ["algo," + ",".join(report.algos)]
-    for a in report.algos:
-        cells = [ratio_3dp(report.total_evals(b), report.total_evals(a)) for b in report.algos]
-        lines.append(a + "," + ",".join(cells))
+    lines = ["algo," + ",".join(report.algos), *(",".join([c[0], *c[4:]]) for c in cells)]
     (out / "gains.csv").write_text("\n".join(lines) + "\n")
 
     (out / "meta.json").write_text(json.dumps(report.meta, indent=2) + "\n")
@@ -265,13 +264,10 @@ def dump_mv_field(field: MotionField, path: str | Path) -> None:
     `dx dy evals static` per block in raster order."""
     grid = field.grid
     lines = [f"MVF v1 {grid.cols} {grid.rows} {grid.block_size}"]
-    for row in range(grid.rows):
-        for col in range(grid.cols):
-            dx, dy = field.vector(row, col)
-            lines.append(
-                f"{dx} {dy} {int(field.evals_per_block[row, col])} "
-                f"{int(field.static_flags[row, col])}"
-            )
+    table = np.column_stack(
+        (field.vectors.reshape(-1, 2), field.evals_per_block.ravel(), field.static_flags.ravel())
+    )
+    lines += [" ".join(map(str, row)) for row in table.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -279,39 +275,38 @@ def load_mv_field(path: str | Path) -> MotionField:
     """Parse a dump_mv_field file back into a MotionField."""
     lines = Path(path).read_text().splitlines() or [""]
     head = lines[0].split()
-    if len(head) != 5 or head[0] != "MVF" or head[1] != "v1":
+    if len(head) != 5 or head[:2] != ["MVF", "v1"] or not all(h.isdecimal() for h in head[2:]):
         raise ValueError(f"bad MVF header {lines[0]!r}")
-    cols, rows, block_size = int(head[2]), int(head[3]), int(head[4])
+    cols, rows, block_size = (int(h) for h in head[2:])
     grid = BlockGrid(block_size, cols, rows)
     field = MotionField.empty(grid)
     if len(lines) - 1 != grid.n_blocks:
         raise ValueError(f"MVF body holds {len(lines) - 1} lines, expected {grid.n_blocks}")
     for i, line in enumerate(lines[1:]):
-        dx, dy, evals, static = line.split()
-        if static not in ("0", "1"):
-            raise ValueError(f"MVF line {i + 2} {line!r}: static flag must be 0 or 1")
+        where = f"MVF line {i + 2} {line!r}"
+        fields = line.split()
+        try:
+            dx, dy, evals, _ = (int(f) for f in fields)
+        except ValueError:
+            raise ValueError(f"{where}: expected 4 integers 'dx dy evals static'") from None
+        if evals < 0:
+            raise ValueError(f"{where}: negative evaluation count")
+        if fields[3] not in ("0", "1"):
+            raise ValueError(f"{where}: static flag must be 0 or 1")
         row, col = i // cols, i % cols
-        field.vectors[row, col] = (int(dx), int(dy))
-        field.evals_per_block[row, col] = int(evals)
-        field.static_flags[row, col] = static == "1"
+        field.vectors[row, col] = (dx, dy)
+        field.evals_per_block[row, col] = evals
+        field.static_flags[row, col] = fields[3] == "1"
     return field
 
 
 def format_summary(report: SequenceReport) -> str:
     """Human-readable summary table for stdout."""
-    out = [
-        f"{'algo':<10} {'mean_psnr_db':>12} {'mean_evals':>12} {'static_frac':>12}",
-    ]
-    for a in report.algos:
-        out.append(
-            f"{a:<10} {report.mean_psnr(a):>12.2f} "
-            f"{ratio_3dp(report.total_evals(a), report.block_count):>12} "
-            f"{ratio_3dp(report.static_blocks(a), report.block_count):>12}"
-        )
+    cells = summary_cells(report)
+    out = [f"{'algo':<10} {'mean_psnr_db':>12} {'mean_evals':>12} {'static_frac':>12}"]
+    out += [f"{a:<10} {psnr:>12} {evals:>12} {static:>12}" for a, psnr, evals, static, *_ in cells]
     if len(report.algos) > 1:
         out.append("gains (row over column):")
         out.append(" " * 10 + "".join(f"{b:>12}" for b in report.algos))
-        for a in report.algos:
-            cells = "".join(f"{report.gain(a, b):>12.3f}" for b in report.algos)
-            out.append(f"{a:<10}{cells}")
+        out += [f"{c[0]:<10}" + "".join(f"{g:>12}" for g in c[4:]) for c in cells]
     return "\n".join(out)

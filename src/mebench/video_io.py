@@ -68,6 +68,9 @@ class Sequence:
         return self.frames[0].height
 
 
+_Y4M_CHROMA = {b"420": "420", b"420jpeg": "420", b"420mpeg2": "420", b"420paldv": "420", b"mono": "400"}
+
+
 def _chroma_bytes(width: int, height: int, chroma: str) -> int:
     if chroma == "420":
         if width % 2 or height % 2:
@@ -85,77 +88,68 @@ def _check_max_frames(max_frames: int | None) -> None:
         raise ValueError(f"--frames (max_frames) must be >= 1, got {max_frames}")
 
 
+def _luma_frame(payload: bytes, width: int, height: int) -> Frame:
+    """The luma plane that leads one frame's payload, as a Frame of its own."""
+    luma = np.frombuffer(payload, dtype=np.uint8, count=width * height)
+    return Frame(luma.reshape(height, width).copy())
+
+
 def load_y4m(path: str | Path, max_frames: int | None = None) -> Sequence:
-    """Read a YUV4MPEG2 stream, keeping only the luma plane of each frame.
+    """Read a YUV4MPEG2 stream frame by frame, keeping only the luma plane.
 
     Accepts 4:2:0 (C420 and its jpeg/mpeg2/paldv siting variants) and
     mono (Cmono) streams. Raises VideoFormatError on anything malformed,
     naming the offending header token or frame index.
     """
     _check_max_frames(max_frames)
-    data = Path(path).read_bytes()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise VideoFormatError("no newline-terminated stream header found")
-    header = data[:nl]
-    tokens = header.split(b" ")
-    if tokens[0] != b"YUV4MPEG2":
-        raise VideoFormatError(f"bad signature token {tokens[0]!r}, expected 'YUV4MPEG2'")
+    with open(path, "rb") as f:
+        header = f.readline()
+        if not header.endswith(b"\n"):
+            raise VideoFormatError("no newline-terminated stream header found")
+        tokens = header[:-1].split(b" ")
+        if tokens[0] != b"YUV4MPEG2":
+            raise VideoFormatError(f"bad signature token {tokens[0]!r}, expected 'YUV4MPEG2'")
 
-    width = height = None
-    chroma = "420"  # stream default when no C token is present
-    for tok in tokens[1:]:
-        if not tok:
-            continue
-        tag, val = chr(tok[0]), tok[1:]
-        try:
-            if tag == "W":
-                width = int(val)
-            elif tag == "H":
-                height = int(val)
-            elif tag == "C":
-                cs = val.decode("ascii", "replace")
-                if cs in ("420", "420jpeg", "420mpeg2", "420paldv"):
-                    chroma = "420"
-                elif cs == "mono":
-                    chroma = "400"
-                else:
-                    raise VideoFormatError(f"unsupported chroma token {tok.decode('ascii', 'replace')!r}")
-        except ValueError as exc:
-            if isinstance(exc, VideoFormatError):
-                raise
-            raise VideoFormatError(f"unparseable header token {tok.decode('ascii', 'replace')!r}") from None
-    if width is None:
-        raise VideoFormatError("missing required header token 'W' (frame width)")
-    if height is None:
-        raise VideoFormatError("missing required header token 'H' (frame height)")
-    if width <= 0 or height <= 0:
-        raise VideoFormatError(f"non-positive dimensions {width}x{height} in header")
+        dims: dict[bytes, int] = {}
+        chroma = "420"  # stream default when no C token is present
+        for tok in filter(None, tokens[1:]):
+            tag, text = tok[:1], tok.decode("ascii", "replace")
+            if tag == b"C":
+                if tok[1:] not in _Y4M_CHROMA:
+                    raise VideoFormatError(f"unsupported chroma token {text!r}")
+                chroma = _Y4M_CHROMA[tok[1:]]
+            elif tag in (b"W", b"H"):
+                try:
+                    dims[tag] = int(tok[1:])
+                except ValueError:
+                    raise VideoFormatError(f"unparseable header token {text!r}") from None
+        if b"W" not in dims:
+            raise VideoFormatError("missing required header token 'W' (frame width)")
+        if b"H" not in dims:
+            raise VideoFormatError("missing required header token 'H' (frame height)")
+        width, height = dims[b"W"], dims[b"H"]
+        if width <= 0 or height <= 0:
+            raise VideoFormatError(f"non-positive dimensions {width}x{height} in header")
 
-    luma_size = width * height
-    frame_size = luma_size + _chroma_bytes(width, height, chroma)
-    frames: list[Frame] = []
-    pos = nl + 1
-    while pos < len(data):
-        if max_frames is not None and len(frames) >= max_frames:
-            break
-        fnl = data.find(b"\n", pos)
-        if fnl < 0:
-            raise VideoFormatError(f"frame {len(frames)}: unterminated FRAME marker")
-        marker = data[pos:fnl]
-        if not marker.startswith(b"FRAME"):
-            raise VideoFormatError(
-                f"frame {len(frames)}: expected FRAME marker, got {marker[:16]!r}"
-            )
-        payload = data[fnl + 1 : fnl + 1 + frame_size]
-        if len(payload) < frame_size:
-            raise VideoFormatError(
-                f"frame {len(frames)}: truncated payload, "
-                f"{len(payload)} of {frame_size} bytes present"
-            )
-        luma = np.frombuffer(payload[:luma_size], dtype=np.uint8).reshape(height, width)
-        frames.append(Frame(luma.copy()))
-        pos = fnl + 1 + frame_size
+        frame_size = width * height + _chroma_bytes(width, height, chroma)
+        frames: list[Frame] = []
+        while max_frames is None or len(frames) < max_frames:
+            marker = f.readline()
+            if not marker:
+                break
+            if not marker.endswith(b"\n"):
+                raise VideoFormatError(f"frame {len(frames)}: unterminated FRAME marker")
+            if not marker.startswith(b"FRAME"):
+                raise VideoFormatError(
+                    f"frame {len(frames)}: expected FRAME marker, got {marker[:-1][:16]!r}"
+                )
+            payload = f.read(frame_size)
+            if len(payload) < frame_size:
+                raise VideoFormatError(
+                    f"frame {len(frames)}: truncated payload, "
+                    f"{len(payload)} of {frame_size} bytes present"
+                )
+            frames.append(_luma_frame(payload, width, height))
     if not frames:
         raise VideoFormatError("stream contains no frames")
     return Sequence(tuple(frames))
@@ -168,7 +162,7 @@ def load_raw_yuv(
     max_frames: int | None = None,
     chroma: str = "420",
 ) -> Sequence:
-    """Read headerless planar YUV, keeping luma only.
+    """Read headerless planar YUV frame by frame, keeping luma only.
 
     chroma: "420" (default) or "400" (luma-only file). Reading stops at
     max_frames when given; otherwise any trailing partial frame is an error.
@@ -176,31 +170,25 @@ def load_raw_yuv(
     if width <= 0 or height <= 0:
         raise ValueError(f"dimensions must be positive, got {width}x{height}")
     _check_max_frames(max_frames)
-    luma_size = width * height
-    frame_size = luma_size + _chroma_bytes(width, height, chroma)
-    data = Path(path).read_bytes()
-
-    n_full = len(data) // frame_size
-    if max_frames is not None:
-        n = min(n_full, max_frames)
-    else:
-        n = n_full
-    if n == 0:
+    frame_size = width * height + _chroma_bytes(width, height, chroma)
+    frames: list[Frame] = []
+    with open(path, "rb") as f:
+        while max_frames is None or len(frames) < max_frames:
+            payload = f.read(frame_size)
+            if len(payload) < frame_size:
+                break
+            frames.append(_luma_frame(payload, width, height))
+    # unless max_frames stopped the loop, payload holds the bytes after the last full frame
+    if not frames:
         raise VideoFormatError(
-            f"file holds no full {width}x{height} frame ({len(data)} bytes, "
+            f"file holds no full {width}x{height} frame ({len(payload)} bytes, "
             f"frame size {frame_size})"
         )
-    if (max_frames is None or n_full < max_frames) and len(data) % frame_size:
+    if len(frames) != max_frames and payload:
         raise VideoFormatError(
-            f"trailing partial frame: {len(data) % frame_size} bytes remain "
-            f"after {n_full} full frames"
+            f"trailing partial frame: {len(payload)} bytes remain "
+            f"after {len(frames)} full frames"
         )
-
-    frames = []
-    for i in range(n):
-        start = i * frame_size
-        luma = np.frombuffer(data[start : start + luma_size], dtype=np.uint8)
-        frames.append(Frame(luma.reshape(height, width).copy()))
     return Sequence(tuple(frames))
 
 

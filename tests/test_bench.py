@@ -5,13 +5,17 @@ import pytest
 
 from mebench import BlockGrid, EstimatorConfig, MotionField
 from mebench.bench import (
+    FrameRow,
     RunSpec,
+    SequenceReport,
     ZMP_THRESHOLDS,
     dump_mv_field,
+    format_summary,
     load_mv_field,
     ratio_3dp,
     resolve_zmp_threshold,
     run,
+    write_csv,
 )
 from mebench.cli import main
 
@@ -60,9 +64,8 @@ def test_run_identical_sequence_single_row(tmp_path):
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.frame == 1
-    assert row.avg_evals == 1.0
+    assert row.evals_total == row.static_blocks == report.n_blocks
     assert row.psnr_db == 100.0
-    assert row.static_fraction == 1.0
     lines = (out / "per_frame.csv").read_text().splitlines()
     assert lines[0] == "frame,algo,avg_evals,psnr_db,static_fraction"
     assert lines[1] == "1,pso-zmp,1.000,100.00,1.000"
@@ -98,6 +101,24 @@ def test_gains_matrix(tmp_path):
     assert report.gain("ds", "es") == pytest.approx(
         report.total_evals("es") / report.total_evals("ds")
     )
+    assert stdout_gains(report) == [row.split(",") for row in lines[1:]]
+
+
+def stdout_gains(report) -> list[list[str]]:
+    """format_summary's gains table as rows of cells, row label first."""
+    lines = format_summary(report).splitlines()
+    start = lines.index("gains (row over column):") + 2  # skip the column labels
+    return [line.split() for line in lines[start:]]
+
+
+def test_stdout_gains_round_as_gains_csv(tmp_path):
+    # 1/16 = 0.0625 exactly: half-up gives 0.063, float formatting 0.062
+    rows = [FrameRow(1, "es", 16, 0, 30.0), FrameRow(1, "ds", 1, 0, 30.0)]
+    report = SequenceReport(["es", "ds"], rows, n_blocks=1, n_pairs=1, meta={})
+    write_csv(report, tmp_path)
+    lines = (tmp_path / "gains.csv").read_text().splitlines()
+    assert lines[1:] == ["es,1.000,0.063", "ds,16.000,1.000"]
+    assert stdout_gains(report) == [row.split(",") for row in lines[1:]]
 
 
 def test_summary_csv_shape(tmp_path):
@@ -218,6 +239,25 @@ def test_mvf_static_flag_must_be_0_or_1(tmp_path):
     path.write_text("MVF v1 1 1 16\n0 0 1 7\n")
     with pytest.raises(ValueError, match="MVF line 2 '0 0 1 7': static flag must be 0 or 1"):
         load_mv_field(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("MVF v1 1 one 16\n0 0 1 0\n", "bad MVF header 'MVF v1 1 one 16'"),
+        ("MVF v1 1 1 16\n0 0 -5 0\n", "MVF line 2 '0 0 -5 0': negative evaluation count"),
+        ("MVF v1 1 1 16\n0 0 1\n", "MVF line 2 '0 0 1': expected 4 integers 'dx dy evals static'"),
+        ("MVF v1 1 1 16\n0 x 1 0\n", "MVF line 2 '0 x 1 0': expected 4 integers 'dx dy evals static'"),
+        ("MVF v1 2 1 16\n0 0 1 0\n0 0 1 0 9\n", "MVF line 3 '0 0 1 0 9': expected 4 integers 'dx dy evals static'"),
+    ],
+    ids=["header-field", "negative-evals", "three-fields", "non-integer", "five-fields"],
+)
+def test_mvf_malformed_input_is_named(tmp_path, text, message):
+    path = tmp_path / "bad.mvf"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_mv_field(path)
+    assert str(info.value) == message
 
 
 def test_cli_run_end_to_end(tmp_path, capsys):

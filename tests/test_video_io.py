@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,23 @@ def test_raw_yuv_unsupported_chroma_text(tmp_path):
     with pytest.raises(VideoFormatError) as info:
         load_raw_yuv(path, 176, 144, chroma="422")
     assert str(info.value) == "unsupported chroma format '422'"
+
+
+@pytest.mark.parametrize("container", ["y4m", "yuv"])
+def test_decode_memory_is_luma_plus_a_few_frames(tmp_path, container):
+    n, h, w = 60, 144, 176
+    lumas = np.random.default_rng(0).integers(0, 256, (n, h, w), dtype=np.uint8)
+    path = tmp_path / f"clip.{container}"
+    if container == "y4m":
+        write_y4m(path, list(lumas))
+    else:
+        chroma = bytes(QCIF_FRAME_BYTES - h * w)
+        path.write_bytes(b"".join(luma.tobytes() + chroma for luma in lumas))
+    tracemalloc.start()
+    try:
+        seq = load_y4m(path) if container == "y4m" else load_raw_yuv(path, w, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == n and seq[n - 1].luma.tobytes() == lumas[n - 1].tobytes()
+    assert peak < lumas.nbytes + 4 * QCIF_FRAME_BYTES, peak
