@@ -90,8 +90,7 @@ def _check_max_frames(max_frames: int | None) -> None:
 
 def _luma_frame(payload: bytes, width: int, height: int) -> Frame:
     """The luma plane that leads one frame's payload, as a Frame of its own."""
-    luma = np.frombuffer(payload, dtype=np.uint8, count=width * height)
-    return Frame(luma.reshape(height, width).copy())
+    return Frame(np.frombuffer(payload, np.uint8, width * height).reshape(height, width).copy())
 
 
 def load_y4m(path: str | Path, max_frames: int | None = None) -> Sequence:

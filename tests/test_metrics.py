@@ -95,6 +95,17 @@ def test_psnr_uniform_offset_closed_form():
     assert frame_psnr(a, b) == pytest.approx(24.05, abs=0.005)
 
 
+def test_psnr_equals_float64_reference():
+    # integer squared errors sum exactly in float64, so the int32 path is bit-equal
+    rng = np.random.default_rng(5)
+    cases = [(np.zeros((144, 176), np.uint8), np.full((144, 176), 255, np.uint8))]
+    cases += [tuple(rng.integers(0, 256, (2, 144, 176), dtype=np.uint8)) for _ in range(3)]
+    for a, b in cases:
+        diff = a.astype(np.float64) - b.astype(np.float64)
+        expected = min(float(10.0 * np.log10(255.0 * 255.0 / np.mean(diff * diff))), 100.0)
+        assert frame_psnr(Frame(a), Frame(b)) == expected
+
+
 def test_psnr_monotone_in_mse():
     base = np.full((16, 16), 100, np.uint8)
     last = float("inf")
