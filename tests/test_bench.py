@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from mebench.bench import (
     dump_mv_field,
     format_summary,
     load_mv_field,
+    load_input,
     ratio_3dp,
     resolve_zmp_threshold,
     run,
@@ -260,6 +265,36 @@ def test_mvf_malformed_input_is_named(tmp_path, text, message):
     assert str(info.value) == message
 
 
+def test_mvf_short_body_text(tmp_path):
+    path = tmp_path / "short.mvf"
+    path.write_text("MVF v1 2 1 16\n0 0 1 0\n")
+    with pytest.raises(ValueError) as info:
+        load_mv_field(path)
+    assert str(info.value) == "MVF body holds 1 lines, expected 2"
+
+
+@pytest.mark.parametrize(
+    "algos,message",
+    [([], "at least one algorithm must be selected"), (["es", "es"], "duplicate algorithm in selection ['es', 'es']")],
+)
+def test_run_spec_selection_text(algos, message):
+    with pytest.raises(ValueError) as info:
+        RunSpec(input="clip.y4m", algos=algos).validate()
+    assert str(info.value) == message
+
+
+def test_unknown_format_text(tmp_path):
+    with pytest.raises(ValueError) as info:
+        load_input(make_clip(tmp_path, n_frames=2), fmt="avi")
+    assert str(info.value) == "format must be y4m or yuv, got 'avi'"
+
+
+def test_cli_search_param_below_one_text(tmp_path, capsys):
+    path = make_clip(tmp_path, n_frames=2)
+    assert main(["run", "--input", str(path), "--algos", "es", "--p", "0", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "mebench: search_param must be >= 1, got 0\n"
+
+
 def test_cli_run_end_to_end(tmp_path, capsys):
     path = make_clip(tmp_path, n_frames=3)
     out = tmp_path / "cli_out"
@@ -353,6 +388,24 @@ def test_cli_psnr_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "frame,psnr_db"
     assert out[-1] == "mean,100.00"
+
+
+def test_module_entry(tmp_path):
+    clip = make_clip(tmp_path, n_frames=2)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "mebench", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    done = entry("psnr", "--a", str(clip), "--b", str(clip))
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "mean,100.00"
+    done = entry("psnr", "--a", str(clip))  # --b missing
+    assert done.returncode == 1
+    assert "the following arguments are required: --b" in done.stderr
 
 
 def test_cli_negative_seed_is_usage_error(tmp_path, capsys):

@@ -124,6 +124,12 @@ def test_psnr_sequence_report():
     assert report.mean_db == pytest.approx(sum(report.per_frame_db) / 2)
 
 
+def test_frame_psnr_shape_text():
+    with pytest.raises(ValueError) as info:
+        frame_psnr(Frame(np.zeros((16, 16), np.uint8)), Frame(np.zeros((16, 32), np.uint8)))
+    assert str(info.value) == "frame shapes differ: (16, 16) vs (16, 32)"
+
+
 def test_psnr_dimension_mismatch():
     a = Sequence((noise_frame(16, 16, 1),))
     b = Sequence((noise_frame(16, 32, 1),))

@@ -1,8 +1,9 @@
 """Differential properties of the array fast paths against small scalar
 references: ES's one-op window (BlockCost.box_sums) against a raster scan of
-single BlockCost queries, the whole-swarm array update of pso_match against
-the per-particle, per-dimension loop it replaced, and compensate's one
-gather against a per-block copy loop. Frames are random, flat or tie-heavy;
+single BlockCost queries, DS and ARPS inside `estimate` against plain
+pattern walks (same vectors, same memo order), the whole-swarm array update
+of pso_match against the per-particle, per-dimension loop it replaced, and
+compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
 `estimate` for every algorithm: legal vectors, evals == len(memo), and the
 static-block prejudgment."""
@@ -34,7 +35,6 @@ from mebench import (
     sad_sum,
 )
 from mebench.blocks import displacement_bounds
-from mebench.estimators import _best_over
 from mebench.metrics import BlockCost, candidate_key
 
 CONTENT = ("noise", "flat", "two-level", "periodic")
@@ -71,13 +71,57 @@ def frame_pairs(draw):
     return anchor, target, bs, rng
 
 
+# The diamond and rood offsets, in the order the searches query them.
+LARGE_DIAMOND = ((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (1, -1), (-1, 1), (-1, -1))
+UNIT_ROOD = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def reference_min(cost: BlockCost, candidates):
+    """The candidate_key minimum over the legal candidates, each scored
+    through BlockCost.__call__ in the given order."""
+    best_key = best = None
+    for d in candidates:
+        if cost.legal(d):
+            k = candidate_key(cost(d), d)
+            if best_key is None or k < best_key:
+                best_key, best = k, d
+    return best
+
+
 def reference_es(cost: BlockCost):
     """The scalar ES scan: every displacement of the box through
     BlockCost.__call__, in raster order, keeping the candidate_key minimum."""
     dx_min, dx_max, dy_min, dy_max = cost.bounds
-    return _best_over(
+    return reference_min(
         cost, ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
     )
+
+
+def reference_walk(cost: BlockCost, center, pattern):
+    """Recenter `pattern` on its minimum until the minimum is the center."""
+    while True:
+        best = reference_min(cost, [(center[0] + ox, center[1] + oy) for ox, oy in pattern])
+        if best == center:
+            return center
+        center = best
+
+
+def reference_ds(cost: BlockCost):
+    """Diamond search: the large diamond walked from (0, 0), then one small
+    diamond (the unit rood) around where it stopped."""
+    cx, cy = reference_walk(cost, (0, 0), LARGE_DIAMOND)
+    return reference_min(cost, [(cx + ox, cy + oy) for ox, oy in UNIT_ROOD])
+
+
+def reference_arps(cost: BlockCost, left):
+    """Adaptive rood pattern search: a rood whose arm is the left neighbour's
+    largest component (2 without one) plus that vector itself, then a
+    unit-rood walk from its minimum."""
+    arm = 2 if left is None else max(abs(left[0]), abs(left[1]))
+    start = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm)]
+    if left is not None:
+        start.append(left)
+    return reference_walk(cost, reference_min(cost, start), UNIT_ROOD)
 
 
 def _round_half_away(v: float) -> int:
@@ -183,6 +227,49 @@ def test_es_equals_scalar_reference(pair, p, dtype, data):
     for (dx, dy), c in counter.memo.items():
         assert type(c) is int
         assert c == sad_sum(tgt, anchor[y + dy : y + dy + bs, x + dx : x + dx + bs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=frame_pairs(),
+    algorithm=st.sampled_from(["ds", "arps"]),
+    p=st.integers(1, 8),
+    threshold=st.one_of(st.just(0.0), st.floats(0, 64)),
+    arps_raw_threshold=st.booleans(),
+    ds_zmp=st.booleans(),
+)
+def test_pattern_searches_equal_scalar_references(
+    pair, algorithm, p, threshold, arps_raw_threshold, ds_zmp
+):
+    anchor, target, bs, _ = pair
+    config = EstimatorConfig(
+        block_size=bs,
+        search_param=p,
+        zmp_threshold=threshold,
+        arps_raw_threshold=arps_raw_threshold,
+        ds_zmp=ds_zmp,
+    )
+    prejudged = config.prejudges(algorithm)
+    field = estimate(algorithm, Frame(anchor), Frame(target), config, keep_memos=True)
+    grid = field.grid
+    anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
+    for index, memo in enumerate(field.memos):
+        row, col = divmod(index, grid.cols)
+        if field.static_flags[row, col]:
+            continue
+        origin = block_origin(grid, index)
+        x, y = origin
+        # a prejudged block's search starts from the co-located sum, as in estimate
+        seeded = {(0, 0): sad_sum(tgt[y : y + bs, x : x + bs], anc[y : y + bs, x : x + bs])}
+        counter = EvalCounter(seeded if prejudged else {})
+        cost = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
+        if algorithm == "ds":
+            expected = reference_ds(cost)
+        else:
+            expected = reference_arps(cost, None if col == 0 else field.vector(row, col - 1))
+        assert field.vector(row, col) == expected
+        assert list(memo.items()) == list(counter.memo.items())  # same points, same order
+        assert field.evals_per_block[row, col] == counter.evals
 
 
 @settings(max_examples=150, deadline=None)

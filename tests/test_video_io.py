@@ -181,6 +181,32 @@ def test_pgm_roundtrip(tmp_path):
         assert (back.luma == frame.luma).all()
 
 
+def test_pgm_header_comments_are_read(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n# made by hand\n2 # width\n2\n#\n255\n" + bytes([0, 255, 128, 64]))
+    assert read_pgm(path).luma.tolist() == [[0, 255], [128, 64]]
+
+
+# The full text of every VideoFormatError read_pgm raises.
+PGM_ERRORS = [
+    (b"P5\n2 2\n", "truncated PGM header"),
+    (b"P6\n2 2\n255\n" + bytes(12), "bad PGM magic b'P6'"),
+    (b"P5\n2 x\n255\n" + bytes(4), "non-numeric PGM header fields [b'2', b'x', b'255']"),
+    (b"P5\n2 2\n65535\n" + bytes(8), "unsupported PGM maxval 65535"),
+    (b"P5\n2 2\n255\n" + bytes(3), "PGM payload holds 3 bytes, expected 4"),
+    (b"P5\n2 2\n255", "PGM payload holds 0 bytes, expected 4"),
+]
+
+
+@pytest.mark.parametrize("data,message", PGM_ERRORS, ids=["truncated", "p6", "non-numeric", "maxval", "short", "no-payload"])
+def test_pgm_error_text(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(VideoFormatError) as info:
+        read_pgm(path)
+    assert str(info.value) == message
+
+
 def test_frame_validation():
     with pytest.raises(ValueError):
         Frame(np.zeros((4, 4), np.float64))
@@ -193,6 +219,20 @@ def test_sequence_dimension_homogeneity():
     b = Frame(np.zeros((16, 32), np.uint8))
     with pytest.raises(ValueError, match="frame 1"):
         Sequence((a, b))
+
+
+def test_empty_sequence_text():
+    with pytest.raises(ValueError) as info:
+        Sequence(())
+    assert str(info.value) == "sequence must contain at least one frame"
+
+
+def test_raw_yuv_dimensions_text(tmp_path):
+    path = tmp_path / "clip.yuv"
+    path.write_bytes(bytes(QCIF_FRAME_BYTES))
+    with pytest.raises(ValueError) as info:
+        load_raw_yuv(path, 0, 16)
+    assert str(info.value) == "dimensions must be positive, got 0x16"
 
 
 def _y4m_two_frames_cut_10() -> bytes:
