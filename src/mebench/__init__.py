@@ -21,7 +21,6 @@ from .estimators import (
 )
 from .metrics import (
     EvalCounter,
-    PsnrReport,
     candidate_key,
     frame_psnr,
     psnr,
@@ -46,7 +45,6 @@ __all__ = [
     "Frame",
     "MotionField",
     "MotionVector",
-    "PsnrReport",
     "PsoConfig",
     "Sequence",
     "VideoFormatError",

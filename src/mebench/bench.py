@@ -291,6 +291,8 @@ def load_mv_field(path: str | Path) -> MotionField:
             raise ValueError(f"{where}: expected 4 integers 'dx dy evals static'") from None
         if evals < 0:
             raise ValueError(f"{where}: negative evaluation count")
+        if not (-(2**31) <= min(dx, dy) and max(dx, dy) < 2**31 and evals < 2**63):
+            raise ValueError(f"{where}: value out of range")  # of the int32 vectors, int64 counts
         if fields[3] not in ("0", "1"):
             raise ValueError(f"{where}: static flag must be 0 or 1")
         row, col = i // cols, i % cols

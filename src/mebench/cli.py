@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .bench import RunSpec, format_summary, load_input, resolve_zmp_threshold, run
 from .estimators import ALGORITHMS, EstimatorConfig
 from .metrics import psnr
@@ -123,11 +125,11 @@ def _cmd_run(args) -> int:
 def _cmd_psnr(args) -> int:
     a = load_input(args.a, args.format, args.width, args.height, args.frames, args.chroma)
     b = load_input(args.b, args.format, args.width, args.height, args.frames, args.chroma)
-    report = psnr(a, b)
+    per_frame = psnr(a, b)
     print("frame,psnr_db")
-    for i, value in enumerate(report.per_frame_db):
+    for i, value in enumerate(per_frame):
         print(f"{i},{value:.2f}")
-    print(f"mean,{report.mean_db:.2f}")
+    print(f"mean,{np.mean(per_frame):.2f}")
     return EXIT_OK
 
 
@@ -146,7 +148,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"mebench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,7 +16,6 @@ from .video_io import Frame
 @dataclass(frozen=True)
 class CompensatedFrame:
     frame: Frame
-    source_field: MotionField
 
 
 def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
@@ -44,4 +43,4 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
     out[: grid.rows * bs, : grid.cols * bs] = blocks.transpose(0, 2, 1, 3).reshape(
         grid.rows * bs, grid.cols * bs
     )
-    return CompensatedFrame(Frame(out), field)
+    return CompensatedFrame(Frame(out))

@@ -159,7 +159,7 @@ def es_search(cost: BlockCost) -> MotionVector:
 def ds_search(cost: BlockCost) -> MotionVector:
     """Two-pattern diamond search: large diamond walked until its minimum sits
     at the center, then one small-diamond refinement."""
-    center = _walk(cost, _best_over(cost, [(0, 0)]), _LDSP)
+    center = _walk(cost, (0, 0), _LDSP)
     return _best_over(cost, _around(center, _SDSP))
 
 

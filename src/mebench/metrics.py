@@ -13,8 +13,6 @@ it in one array op, so static blocks never reach a BlockCost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -147,17 +145,6 @@ def candidate_key(cost: int, d: MotionVector) -> tuple[int, int, int, int]:
     return (cost, abs(d[0]) + abs(d[1]), d[1], d[0])
 
 
-@dataclass
-class PsnrReport:
-    """Per-frame PSNR values plus their arithmetic mean, in dB."""
-
-    per_frame_db: list[float] = field(default_factory=list)
-
-    @property
-    def mean_db(self) -> float:
-        return float(np.mean(self.per_frame_db))
-
-
 def frame_mse(a: Frame, b: Frame) -> float:
     if a.luma.shape != b.luma.shape:
         raise ValueError(f"frame shapes differ: {a.luma.shape} vs {b.luma.shape}")
@@ -174,8 +161,8 @@ def frame_psnr(a: Frame, b: Frame) -> float:
     return min(float(10.0 * np.log10(255.0 * 255.0 / mse)), PSNR_CAP_DB)
 
 
-def psnr(original: Sequence, compensated: Sequence) -> PsnrReport:
-    """Per-frame PSNR of compensated vs original."""
+def psnr(original: Sequence, compensated: Sequence) -> list[float]:
+    """Per-frame PSNR of compensated vs original, in dB."""
     if original.width != compensated.width or original.height != compensated.height:
         raise ValueError(
             f"sequences differ in size: {original.width}x{original.height} vs "
@@ -183,4 +170,4 @@ def psnr(original: Sequence, compensated: Sequence) -> PsnrReport:
         )
     if len(original) != len(compensated):
         raise ValueError(f"sequences differ in length: {len(original)} vs {len(compensated)}")
-    return PsnrReport([frame_psnr(a, b) for a, b in zip(original.frames, compensated.frames)])
+    return [frame_psnr(a, b) for a, b in zip(original.frames, compensated.frames)]

@@ -127,12 +127,12 @@ def pso_match(
     is given, it receives one dict per iteration with copies of the swarm
     state after the velocity/position update.
     """
-    gbest_key = None
+    gbest_key: tuple = (float("inf"),)  # ranks after every candidate key
     gbest: MotionVector | None = None
     for cand in seed_candidates:
         c = cost.clamp(cand)
         k = candidate_key(cost(c), c)
-        if gbest_key is None or k < gbest_key:
+        if k < gbest_key:
             gbest_key, gbest = k, c
 
     dx_min, dx_max, dy_min, dy_max = cost.bounds
@@ -141,18 +141,18 @@ def pso_match(
     pos = np.clip(np.resize(np.array(pattern_positions, dtype=np.float64), (n, 2)), lo, hi)
     vel = np.zeros((n, 2), dtype=np.float64)
     pbest = np.zeros((n, 2), dtype=np.float64)
-    pbest_key: list[tuple | None] = [None] * n
+    pbest_key = [(float("inf"),)] * n
 
     for t in range(config.iterations):
         evaluated = np.clip(_round_half_away(pos), lo, hi).astype(np.int64).tolist()
         for i, (qx, qy) in enumerate(evaluated):
             k = candidate_key(cost((qx, qy)), (qx, qy))
-            if pbest_key[i] is None or k < pbest_key[i]:
+            if k < pbest_key[i]:
                 pbest_key[i] = k
                 pbest[i] = (qx, qy)
         # synchronous global-best update after the full evaluation pass
         best = min(range(n), key=pbest_key.__getitem__)
-        if gbest_key is None or pbest_key[best] < gbest_key:
+        if pbest_key[best] < gbest_key:
             gbest_key = pbest_key[best]
             gbest = (int(pbest[best, 0]), int(pbest[best, 1]))
         w = inertia_weight(t, config.iterations, config.w_start, config.w_end)

@@ -6,6 +6,7 @@ luma plane only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,37 +198,29 @@ def write_pgm(frame: Frame, path: str | Path) -> None:
     Path(path).write_bytes(header + frame.luma.tobytes())
 
 
+# P5 header: magic, width, height and maxval, split by whitespace and '#'
+# comment lines (a field never starts with '#'); one whitespace byte, absent
+# at end of file, ends it.
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)"
+_PGM_HEADER = re.compile(_PGM_SEP + b"*" + (_PGM_SEP + b"+").join([rb"([^\s#]\S*)"] * 4) + rb"\s?")
+
+
 def read_pgm(path: str | Path) -> Frame:
-    """Read a binary PGM (P5, maxval 255) written by write_pgm."""
+    """Read a binary PGM (P5, maxval 255), header comments included."""
     data = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    # P5 header = magic, width, height, maxval separated by whitespace,
-    # with optional '#' comment lines
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            pos = data.find(b"\n", pos)
-            if pos < 0:
-                raise VideoFormatError("unterminated comment in PGM header")
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise VideoFormatError("truncated PGM header")
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise VideoFormatError(f"bad PGM magic {fields[0]!r}")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise VideoFormatError("truncated PGM header")
+    magic, *fields = header.groups()
+    if magic != b"P5":
+        raise VideoFormatError(f"bad PGM magic {magic!r}")
     try:
-        width, height, maxval = (int(f) for f in fields[1:])
+        width, height, maxval = (int(f) for f in fields)
     except ValueError:
-        raise VideoFormatError(f"non-numeric PGM header fields {fields[1:]!r}") from None
+        raise VideoFormatError(f"non-numeric PGM header fields {fields!r}") from None
     if maxval != 255:
         raise VideoFormatError(f"unsupported PGM maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height]
+    payload = data[header.end() : header.end() + width * height]
     if len(payload) != width * height:
         raise VideoFormatError(
             f"PGM payload holds {len(payload)} bytes, expected {width * height}"

@@ -254,8 +254,23 @@ def test_mvf_static_flag_must_be_0_or_1(tmp_path):
         ("MVF v1 1 1 16\n0 0 1\n", "MVF line 2 '0 0 1': expected 4 integers 'dx dy evals static'"),
         ("MVF v1 1 1 16\n0 x 1 0\n", "MVF line 2 '0 x 1 0': expected 4 integers 'dx dy evals static'"),
         ("MVF v1 2 1 16\n0 0 1 0\n0 0 1 0 9\n", "MVF line 3 '0 0 1 0 9': expected 4 integers 'dx dy evals static'"),
+        ("MVF v1 1 1 16\n99999999999 0 1 0\n", "MVF line 2 '99999999999 0 1 0': value out of range"),
+        ("MVF v1 1 1 16\n0 -2147483649 1 0\n", "MVF line 2 '0 -2147483649 1 0': value out of range"),
+        (
+            "MVF v1 1 1 16\n0 0 99999999999999999999 0\n",
+            "MVF line 2 '0 0 99999999999999999999 0': value out of range",
+        ),
     ],
-    ids=["header-field", "negative-evals", "three-fields", "non-integer", "five-fields"],
+    ids=[
+        "header-field",
+        "negative-evals",
+        "three-fields",
+        "non-integer",
+        "five-fields",
+        "vector-too-large",
+        "vector-too-small",
+        "evals-too-large",
+    ],
 )
 def test_mvf_malformed_input_is_named(tmp_path, text, message):
     path = tmp_path / "bad.mvf"
@@ -263,6 +278,14 @@ def test_mvf_malformed_input_is_named(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         load_mv_field(path)
     assert str(info.value) == message
+
+
+def test_mvf_loads_the_integer_extremes(tmp_path):
+    path = tmp_path / "extremes.mvf"
+    path.write_text("MVF v1 1 1 16\n2147483647 -2147483648 9223372036854775807 0\n")
+    field = load_mv_field(path)
+    assert field.vector(0, 0) == (2**31 - 1, -(2**31))
+    assert int(field.evals_per_block[0, 0]) == 2**63 - 1
 
 
 def test_mvf_short_body_text(tmp_path):

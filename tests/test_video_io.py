@@ -195,10 +195,15 @@ PGM_ERRORS = [
     (b"P5\n2 2\n65535\n" + bytes(8), "unsupported PGM maxval 65535"),
     (b"P5\n2 2\n255\n" + bytes(3), "PGM payload holds 3 bytes, expected 4"),
     (b"P5\n2 2\n255", "PGM payload holds 0 bytes, expected 4"),
+    (b"P5\n2 2 # no newline", "truncated PGM header"),
 ]
 
 
-@pytest.mark.parametrize("data,message", PGM_ERRORS, ids=["truncated", "p6", "non-numeric", "maxval", "short", "no-payload"])
+@pytest.mark.parametrize(
+    "data,message",
+    PGM_ERRORS,
+    ids=["truncated", "p6", "non-numeric", "maxval", "short", "no-payload", "open-comment"],
+)
 def test_pgm_error_text(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
