@@ -199,10 +199,11 @@ def write_pgm(frame: Frame, path: str | Path) -> None:
 
 
 # P5 header: magic, width, height and maxval, split by whitespace and '#'
-# comment lines (a field never starts with '#'); one whitespace byte, absent
-# at end of file, ends it.
-_PGM_SEP = rb"(?:\s|#[^\n]*\n)"
-_PGM_HEADER = re.compile(_PGM_SEP + b"*" + (_PGM_SEP + b"+").join([rb"([^\s#]\S*)"] * 4) + rb"\s?")
+# comment lines; one whitespace byte, absent at end of file, ends it. A field
+# ends only at whitespace and a comment starts only where a field could, so
+# each byte has one reading and a failed match gives up in linear time.
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)*"
+_PGM_HEADER = re.compile(_PGM_SEP + (rb"\s" + _PGM_SEP).join([rb"([^\s#]\S*)"] * 4) + rb"\s?")
 
 
 def read_pgm(path: str | Path) -> Frame:

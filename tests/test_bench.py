@@ -250,6 +250,7 @@ def test_mvf_static_flag_must_be_0_or_1(tmp_path):
     "text,message",
     [
         ("MVF v1 1 one 16\n0 0 1 0\n", "bad MVF header 'MVF v1 1 one 16'"),
+        ("MVF v1 2 1 16\n0 0 1 0\n", "MVF body holds 1 lines, expected 2"),
         ("MVF v1 1 1 16\n0 0 -5 0\n", "MVF line 2 '0 0 -5 0': negative evaluation count"),
         ("MVF v1 1 1 16\n0 0 1\n", "MVF line 2 '0 0 1': expected 4 integers 'dx dy evals static'"),
         ("MVF v1 1 1 16\n0 x 1 0\n", "MVF line 2 '0 x 1 0': expected 4 integers 'dx dy evals static'"),
@@ -263,6 +264,7 @@ def test_mvf_static_flag_must_be_0_or_1(tmp_path):
     ],
     ids=[
         "header-field",
+        "short-body",
         "negative-evals",
         "three-fields",
         "non-integer",
@@ -286,14 +288,6 @@ def test_mvf_loads_the_integer_extremes(tmp_path):
     field = load_mv_field(path)
     assert field.vector(0, 0) == (2**31 - 1, -(2**31))
     assert int(field.evals_per_block[0, 0]) == 2**63 - 1
-
-
-def test_mvf_short_body_text(tmp_path):
-    path = tmp_path / "short.mvf"
-    path.write_text("MVF v1 2 1 16\n0 0 1 0\n")
-    with pytest.raises(ValueError) as info:
-        load_mv_field(path)
-    assert str(info.value) == "MVF body holds 1 lines, expected 2"
 
 
 @pytest.mark.parametrize(

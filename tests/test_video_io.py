@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,17 @@ def test_pgm_error_text(tmp_path, data, message):
     with pytest.raises(VideoFormatError) as info:
         read_pgm(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("body", [b"a#" * 200_000, b"\n#" * 200_000, b" " * 400_000])
+def test_pgm_malformed_header_fails_fast(tmp_path, body):
+    # a header pattern that could split a field at '#' took 96 s on the first body
+    path = tmp_path / "slow.pgm"
+    path.write_bytes(b"P5 " + body)
+    start = time.perf_counter()
+    with pytest.raises(VideoFormatError, match="truncated PGM header"):
+        read_pgm(path)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_frame_validation():
