@@ -15,8 +15,8 @@ from mebench.bench import (
     ZMP_THRESHOLDS,
     dump_mv_field,
     format_summary,
-    load_mv_field,
     load_input,
+    load_mv_field,
     ratio_3dp,
     resolve_zmp_threshold,
     run,
@@ -292,7 +292,10 @@ def test_mvf_loads_the_integer_extremes(tmp_path):
 
 @pytest.mark.parametrize(
     "algos,message",
-    [([], "at least one algorithm must be selected"), (["es", "es"], "duplicate algorithm in selection ['es', 'es']")],
+    [
+        ([], "at least one algorithm must be selected"),
+        (["es", "es"], "duplicate algorithm in selection ['es', 'es']"),
+    ],
 )
 def test_run_spec_selection_text(algos, message):
     with pytest.raises(ValueError) as info:
