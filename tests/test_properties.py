@@ -2,7 +2,8 @@
 references: ES's one-op window (BlockCost.box_sums) against a raster scan of
 single BlockCost queries, DS and ARPS inside `estimate` against plain
 pattern walks (same vectors, same memo order), the whole-swarm array update
-of pso_match against the per-particle, per-dimension loop it replaced, and
+of pso_match against the per-particle, per-dimension loop it replaced (alone,
+and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
 `estimate` for every algorithm: legal vectors, evals == len(memo), and the
@@ -55,11 +56,13 @@ def _luma(rng, h: int, w: int, content: str) -> np.ndarray:
 
 
 @st.composite
-def frame_pairs(draw):
-    """(anchor luma, target luma, block size, rng) with at least one block."""
+def frame_pairs(draw, max_blocks=None):
+    """(anchor luma, target luma, block size, rng) with at least one block,
+    and at most max_blocks block rows and columns when it is given."""
     bs = draw(st.integers(2, 16))
-    h = draw(st.integers(bs, 3 * bs + 5))
-    w = draw(st.integers(bs, 3 * bs + 5))
+    top = 3 * bs + 5 if max_blocks is None else (max_blocks + 1) * bs - 1
+    h = draw(st.integers(bs, top))
+    w = draw(st.integers(bs, top))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     anchor = _luma(rng, h, w, draw(st.sampled_from(CONTENT)))
     if draw(st.booleans()):
@@ -358,6 +361,53 @@ def test_swarm_equals_scalar_reference(pair, config, p, data):
         for key in ("velocities", "positions"):
             assert step[key].dtype == ref[key].dtype and step[key].shape == ref[key].shape
             assert step[key].tobytes() == ref[key].tobytes()  # bit-equal, signed zeros included
+
+
+def reference_start(row: int, col: int, rows: int, left):
+    """The swarm's start on one block: pattern A recentred on the left
+    neighbour's vector, or, down the leftmost column, B at the top, C at the
+    bottom and D in between, all three at (0, 0)."""
+    if col:
+        return "A", left
+    return ("B" if row == 0 else "C" if row == rows - 1 else "D"), (0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=frame_pairs(max_blocks=3),
+    particles=st.integers(1, 10),
+    iterations=st.integers(1, 5),
+    seed_predictor=st.booleans(),
+    threshold=st.one_of(st.just(0.0), st.floats(0, 64)),
+    seed=st.integers(0, 2**16),
+)
+def test_swarm_in_estimate_equals_scalar_reference(
+    pair, particles, iterations, seed_predictor, threshold, seed
+):
+    anchor, target, bs, _ = pair
+    config = EstimatorConfig(block_size=bs, zmp_threshold=threshold)
+    swarm = PsoConfig(particles=particles, iterations=iterations, seed_predictor=seed_predictor)
+    field = estimate(
+        "pso-zmp", Frame(anchor), Frame(target), config, pso=swarm, seed=seed, keep_memos=True
+    )
+    grid = field.grid
+    anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
+    rng = np.random.Generator(np.random.PCG64(seed))  # one stream, moving blocks in raster order
+    vectors = {}
+    for index, memo in enumerate(field.memos):
+        row, col = divmod(index, grid.cols)
+        if field.static_flags[row, col]:
+            vectors[row, col] = (0, 0)
+            continue
+        x, y = block_origin(grid, index)
+        counter = EvalCounter({(0, 0): sad_sum(tgt[y : y + bs, x : x + bs], anc[y : y + bs, x : x + bs])})
+        cost = BlockCost(anc, tgt, (x, y), bs, counter)
+        kind, center = reference_start(row, col, grid.rows, vectors.get((row, col - 1)))
+        seeds = ((0, 0), center) if seed_predictor and center != (0, 0) else ((0, 0),)
+        vectors[row, col] = reference_pso_match(cost, init_pattern(kind, center), seeds, swarm, rng, [])
+        assert field.vector(row, col) == vectors[row, col]
+        assert list(memo.items()) == list(counter.memo.items())  # same points, same order
+        assert field.evals_per_block[row, col] == counter.evals
 
 
 @settings(max_examples=100, deadline=None)
