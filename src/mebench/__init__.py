@@ -17,7 +17,6 @@ from .estimators import (
     ds_search,
     es_search,
     estimate,
-    predict_mv_ros_d,
 )
 from .metrics import (
     EvalCounter,
@@ -61,7 +60,6 @@ __all__ = [
     "init_pattern",
     "load_raw_yuv",
     "load_y4m",
-    "predict_mv_ros_d",
     "psnr",
     "pso_match",
     "read_pgm",

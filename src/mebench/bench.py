@@ -279,9 +279,9 @@ def load_mv_field(path: str | Path) -> MotionField:
         raise ValueError(f"bad MVF header {lines[0]!r}")
     cols, rows, block_size = (int(h) for h in head[2:])
     grid = BlockGrid(block_size, cols, rows)
-    field = MotionField.empty(grid)
-    if len(lines) - 1 != grid.n_blocks:
+    if len(lines) - 1 != grid.n_blocks:  # before the header's size is allocated
         raise ValueError(f"MVF body holds {len(lines) - 1} lines, expected {grid.n_blocks}")
+    field = MotionField.empty(grid)
     for i, line in enumerate(lines[1:]):
         where = f"MVF line {i + 2} {line!r}"
         fields = line.split()

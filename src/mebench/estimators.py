@@ -22,7 +22,7 @@ import numpy as np
 
 from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
-from .metrics import BlockCost, EvalCounter, candidate_key
+from .metrics import BlockCost, EvalCounter, best_candidate, candidate_key
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
@@ -113,21 +113,6 @@ class MotionField:
         return int(self.static_flags.sum())
 
 
-def _best_over(cost: BlockCost, candidates) -> MotionVector:
-    """Evaluate the legal candidates and return the key-minimal one."""
-    best_d = None
-    best_key = None
-    for d in candidates:
-        if not cost.legal(d):
-            continue
-        k = candidate_key(cost(d), d)
-        if best_key is None or k < best_key:
-            best_key, best_d = k, d
-    if best_d is None:
-        raise ValueError("no legal candidate displacement")
-    return best_d
-
-
 def _around(center: MotionVector, pattern) -> list[MotionVector]:
     return [(center[0] + ox, center[1] + oy) for ox, oy in pattern]
 
@@ -135,7 +120,7 @@ def _around(center: MotionVector, pattern) -> list[MotionVector]:
 def _walk(cost: BlockCost, center: MotionVector, pattern) -> MotionVector:
     """Recenter `pattern` on its minimum until the minimum stays at the center."""
     while True:
-        best = _best_over(cost, _around(center, pattern))
+        _, best = best_candidate(cost, _around(center, pattern))
         if best == center:
             return center
         center = best
@@ -160,7 +145,7 @@ def ds_search(cost: BlockCost) -> MotionVector:
     """Two-pattern diamond search: large diamond walked until its minimum sits
     at the center, then one small-diamond refinement."""
     center = _walk(cost, (0, 0), _LDSP)
-    return _best_over(cost, _around(center, _SDSP))
+    return best_candidate(cost, _around(center, _SDSP))[1]
 
 
 def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> MotionVector:
@@ -174,18 +159,7 @@ def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> Motio
     candidates = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm)]
     if left_neighbor_mv is not None:
         candidates.append(left_neighbor_mv)
-    return _walk(cost, _best_over(cost, candidates), _SDSP)
-
-
-def predict_mv_ros_d(field_so_far: MotionField, block_index: int) -> MotionVector | None:
-    """Left-neighbor prediction: the vector of the block immediately to the
-    left, or None for the leftmost column (block 0 included)."""
-    grid = field_so_far.grid
-    if not 0 <= block_index < grid.n_blocks:
-        raise ValueError(f"block index {block_index} out of range [0, {grid.n_blocks})")
-    if block_index % grid.cols == 0:
-        return None
-    return field_so_far.vector(block_index // grid.cols, block_index % grid.cols - 1)
+    return _walk(cost, best_candidate(cost, candidates)[1], _SDSP)
 
 
 def estimate(
@@ -218,34 +192,30 @@ def estimate(
     cut = config.static_cut(algorithm)
     p = config.search_param
     window = (-p, p, -p, p)
-    # the per-block search: (cost, block index, field so far) -> vector
+    grid = BlockGrid.for_frame(anchor, config.block_size)
+    # the per-block search: (cost, row, col, left neighbor's vector or None) -> vector
     if algorithm == "es":
-        search = lambda cost, index, field: es_search(cost)
+        search = lambda cost, row, col, left: es_search(cost)
     elif algorithm == "ds":
-        search = lambda cost, index, field: ds_search(cost)
+        search = lambda cost, row, col, left: ds_search(cost)
     elif algorithm == "arps":
-        search = lambda cost, index, field: arps_search(cost, predict_mv_ros_d(field, index))
+        search = lambda cost, row, col, left: arps_search(cost, left)
     else:
         swarm_config = pso or swarm.PsoConfig()
         rng = np.random.Generator(np.random.PCG64(seed))  # the pair's stream, in raster order
         window = None
 
-        def search(cost, index, field):
+        def search(cost, row, col, left):
             # Ordinary blocks recenter pattern A on the left neighbor's vector
             # and (by default) try that prediction as a starting global best.
             # The co-located point always joins the initial candidates, so the
             # output never scores worse than staying put.
-            kind = swarm.select_pattern(index, field.grid)
-            center: MotionVector = (0, 0)
-            seeds: tuple[MotionVector, ...] = ((0, 0),)
-            if kind == "A":
-                center = predict_mv_ros_d(field, index)
-                if swarm_config.seed_predictor and center != (0, 0):
-                    seeds = ((0, 0), center)
+            center = left or (0, 0)
+            seeds = ((0, 0), center) if swarm_config.seed_predictor and center != (0, 0) else ((0, 0),)
+            kind = swarm.select_pattern(row, col, grid.rows)
             # through the module attribute, which the benchmark's tracer wraps
             return swarm.pso_match(cost, swarm.init_pattern(kind, center), seeds, swarm_config, rng)
 
-    grid = BlockGrid.for_frame(anchor, config.block_size)
     field = MotionField.empty(grid)
     if keep_memos:
         field.memos = []
@@ -266,10 +236,11 @@ def estimate(
     for index, s in enumerate(colocated):
         memo = {} if s is None else {(0, 0): s}
         if not static[index]:
+            row, col = divmod(index, grid.cols)
+            left = field.vector(row, col - 1) if col else None  # a block's one link to the field
             counter = EvalCounter(memo)
             cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
-            row, col = index // grid.cols, index % grid.cols
-            field.vectors[row, col] = search(cost, index, field)
+            field.vectors[row, col] = search(cost, row, col, left)
             field.evals_per_block[row, col] = counter.evals
         if keep_memos:
             field.memos.append(memo)

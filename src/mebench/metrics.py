@@ -145,6 +145,20 @@ def candidate_key(cost: int, d: MotionVector) -> tuple[int, int, int, int]:
     return (cost, abs(d[0]) + abs(d[1]), d[1], d[0])
 
 
+def best_candidate(cost: BlockCost, candidates) -> tuple[tuple, MotionVector | None]:
+    """(key, displacement) of the candidate_key minimum over the legal
+    candidates, each scored through `cost` in the given order; the key is
+    (inf,), ranking after every candidate key, when none is legal."""
+    best_key: tuple = (float("inf"),)
+    best = None
+    for d in candidates:
+        if cost.legal(d):
+            k = candidate_key(cost(d), d)
+            if k < best_key:
+                best_key, best = k, d
+    return best_key, best
+
+
 def frame_mse(a: Frame, b: Frame) -> float:
     if a.luma.shape != b.luma.shape:
         raise ValueError(f"frame shapes differ: {a.luma.shape} vs {b.luma.shape}")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockGrid, MotionVector
-from .metrics import BlockCost, candidate_key
+from .blocks import MotionVector
+from .metrics import BlockCost, best_candidate, candidate_key
 
 PATTERN_KINDS = ("A", "B", "C", "D")
 
@@ -81,18 +81,15 @@ def inertia_weight(t: int, iterations: int, w_start: float, w_end: float) -> flo
     return w_start - (w_start - w_end) * t / (iterations - 1)
 
 
-def select_pattern(block_index: int, grid: BlockGrid) -> str:
-    """Seeding pattern for a block: B at the top-left corner, C at the
-    bottom-left corner, D elsewhere in the leftmost column, A otherwise."""
-    if not 0 <= block_index < grid.n_blocks:
-        raise ValueError(f"block index {block_index} out of range [0, {grid.n_blocks})")
-    if block_index == 0:
+def select_pattern(row: int, col: int, rows: int) -> str:
+    """Seeding pattern for the block at (row, col) of a grid `rows` blocks
+    tall: A off the leftmost column; in it, B at the top (a one-row grid
+    included), C at the bottom and D in between."""
+    if col > 0:
+        return "A"
+    if row == 0:
         return "B"
-    if block_index == (grid.rows - 1) * grid.cols:
-        return "C"
-    if block_index % grid.cols == 0:
-        return "D"
-    return "A"
+    return "C" if row == rows - 1 else "D"
 
 
 def init_pattern(kind: str, center: MotionVector = (0, 0)) -> list[MotionVector]:
@@ -127,14 +124,7 @@ def pso_match(
     is given, it receives one dict per iteration with copies of the swarm
     state after the velocity/position update.
     """
-    gbest_key: tuple = (float("inf"),)  # ranks after every candidate key
-    gbest: MotionVector | None = None
-    for cand in seed_candidates:
-        c = cost.clamp(cand)
-        k = candidate_key(cost(c), c)
-        if k < gbest_key:
-            gbest_key, gbest = k, c
-
+    gbest_key, gbest = best_candidate(cost, [cost.clamp(c) for c in seed_candidates])
     dx_min, dx_max, dy_min, dy_max = cost.bounds
     lo, hi = (dx_min, dy_min), (dx_max, dy_max)
     n = config.particles

@@ -219,6 +219,8 @@ def read_pgm(path: str | Path) -> Frame:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise VideoFormatError(f"non-numeric PGM header fields {fields!r}") from None
+    if width <= 0 or height <= 0:
+        raise VideoFormatError(f"non-positive dimensions {width}x{height} in PGM header")
     if maxval != 255:
         raise VideoFormatError(f"unsupported PGM maxval {maxval}")
     payload = data[header.end() : header.end() + width * height]

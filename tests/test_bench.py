@@ -251,6 +251,8 @@ def test_mvf_static_flag_must_be_0_or_1(tmp_path):
     [
         ("MVF v1 1 one 16\n0 0 1 0\n", "bad MVF header 'MVF v1 1 one 16'"),
         ("MVF v1 2 1 16\n0 0 1 0\n", "MVF body holds 1 lines, expected 2"),
+        # checked before a field of the header's size is allocated
+        ("MVF v1 10000000 10000000 16\n0 0 1 0\n", f"MVF body holds 1 lines, expected {10**14}"),
         ("MVF v1 1 1 16\n0 0 -5 0\n", "MVF line 2 '0 0 -5 0': negative evaluation count"),
         ("MVF v1 1 1 16\n0 0 1\n", "MVF line 2 '0 0 1': expected 4 integers 'dx dy evals static'"),
         ("MVF v1 1 1 16\n0 x 1 0\n", "MVF line 2 '0 x 1 0': expected 4 integers 'dx dy evals static'"),
@@ -265,6 +267,7 @@ def test_mvf_static_flag_must_be_0_or_1(tmp_path):
     ids=[
         "header-field",
         "short-body",
+        "huge-header",
         "negative-evals",
         "three-fields",
         "non-integer",

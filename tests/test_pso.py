@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from mebench import (
-    BlockGrid,
     EstimatorConfig,
     EvalCounter,
     Frame,
-    MotionField,
     PsoConfig,
     estimate,
     inertia_weight,
     init_pattern,
-    predict_mv_ros_d,
     pso_match,
     select_pattern,
 )
@@ -66,23 +63,13 @@ def test_zmp_threshold_is_strict():
     assert field.memos == [{(0, 0): 64}]
 
 
-def test_ros_d_prediction(qcif_grid):
-    field = MotionField.empty(qcif_grid)
-    field.vectors[4, 0] = (2, -1)
-    assert predict_mv_ros_d(field, 0) is None          # first block
-    assert predict_mv_ros_d(field, 44) is None         # leftmost column
-    assert predict_mv_ros_d(field, 45) == (2, -1)      # passes the left vector through
-    with pytest.raises(ValueError):
-        predict_mv_ros_d(field, 99)
-
-
 def test_select_pattern(qcif_grid):
-    assert select_pattern(0, qcif_grid) == "B"
-    assert select_pattern(88, qcif_grid) == "C"  # bottom-left corner, 8 * 11
-    assert select_pattern(44, qcif_grid) == "D"  # leftmost column
-    assert select_pattern(45, qcif_grid) == "A"
-    with pytest.raises(ValueError):
-        select_pattern(99, qcif_grid)
+    rows = qcif_grid.rows
+    assert select_pattern(0, 0, rows) == "B"
+    assert select_pattern(8, 0, rows) == "C"  # bottom-left corner
+    assert select_pattern(4, 0, rows) == "D"  # leftmost column
+    assert select_pattern(4, 1, rows) == "A"
+    assert select_pattern(0, 0, 1) == "B"     # a one-row grid's only corner is the top
 
 
 def test_init_pattern_sets():

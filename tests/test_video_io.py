@@ -197,13 +197,25 @@ PGM_ERRORS = [
     (b"P5\n2 2\n255\n" + bytes(3), "PGM payload holds 3 bytes, expected 4"),
     (b"P5\n2 2\n255", "PGM payload holds 0 bytes, expected 4"),
     (b"P5\n2 2 # no newline", "truncated PGM header"),
+    (b"P5 -2 -2 255\n", "non-positive dimensions -2x-2 in PGM header"),
+    (b"P5 0 0 255\n", "non-positive dimensions 0x0 in PGM header"),
 ]
 
 
 @pytest.mark.parametrize(
     "data,message",
     PGM_ERRORS,
-    ids=["truncated", "p6", "non-numeric", "maxval", "short", "no-payload", "open-comment"],
+    ids=[
+        "truncated",
+        "p6",
+        "non-numeric",
+        "maxval",
+        "short",
+        "no-payload",
+        "open-comment",
+        "negative-size",
+        "zero-size",
+    ],
 )
 def test_pgm_error_text(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
