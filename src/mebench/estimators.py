@@ -6,11 +6,12 @@ The driver alone prejudges static blocks, as one frame-level op ahead of any
 search: every block's co-located raw sum against EstimatorConfig.static_cut,
 the one place the threshold is converted to raw-sum units. That sum is each
 block's first memo entry, one evaluation; static blocks stop there. The
-searches themselves only search and return a vector. Every moving block is
-searched with a memoized BlockCost, so revisiting a displacement never
-inflates the evaluation count;
-ES fills its whole window in one array op (BlockCost.box_sums) and counts
-every displacement in it. Ties are broken uniformly by candidate_key
+searches themselves only search and return a vector; of the field they see
+only the left neighbor's vector (None in column 0), the one link between
+blocks. Every moving block is searched with a memoized BlockCost, so
+revisiting a displacement never inflates the evaluation count; ES fills its
+whole window in one array op (BlockCost.box_sums) and counts every
+displacement in it. Ties are broken uniformly by candidate_key
 (center-biased, then raster order).
 """
 
