@@ -14,7 +14,6 @@ from .estimators import (
     EstimatorConfig,
     MotionField,
     arps_search,
-    ds_search,
     es_search,
     estimate,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "candidate_key",
     "clamp_displacement",
     "compensate",
-    "ds_search",
     "es_search",
     "estimate",
     "frame_psnr",

@@ -1,17 +1,20 @@
 """Block matchers (exhaustive, diamond and adaptive rood pattern search) and
-`estimate`, the one raster driver that runs every matcher block by block,
-the swarm search of pso.py included.
+`estimate`, the one raster driver that runs every matcher, the swarm search
+of pso.py included.
 
 The driver alone prejudges static blocks, as one frame-level op ahead of any
 search: every block's co-located raw sum against EstimatorConfig.static_cut,
 the one place the threshold is converted to raw-sum units. That sum is each
 block's first memo entry, one evaluation; static blocks stop there. The
-searches themselves only search and return a vector; of the field they see
+searches themselves only search and return vectors; of the field they see
 only the left neighbor's vector (None in column 0), the one link between
-blocks. Every moving block is searched with a memoized BlockCost, so
-revisiting a displacement never inflates the evaluation count; ES fills its
-whole window in one array op (BlockCost.box_sums) and counts every
-displacement in it. Ties are broken uniformly by candidate_key
+blocks. ES and ARPS search one block at a time through a memoized
+BlockCost; ES fills its whole window in one array op (BlockCost.box_sums)
+and counts every displacement in it. DS, whose blocks are independent,
+walks every moving block's diamond in lockstep, and the swarm runs one grid
+column at a time (pso.column_search), both scored through one PairCost per
+frame pair. Every memo counts a revisited displacement once and keeps its
+first-query order, and ties are broken uniformly by candidate_key
 (center-biased, then raster order).
 """
 
@@ -23,12 +26,13 @@ import numpy as np
 
 from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
-from .metrics import BlockCost, EvalCounter, best_candidate, candidate_key
+from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, best_candidate, candidate_key
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
 
-# Large and small diamond offsets of the two-pattern diamond search.
+# Large and small diamond offsets of the two-pattern diamond search; the
+# small diamond is also ARPS's unit rood. Each starts at the center.
 _LDSP = ((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (1, -1), (-1, 1), (-1, -1))
 _SDSP = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -142,11 +146,36 @@ def es_search(cost: BlockCost) -> MotionVector:
     return min(ties, key=lambda d: candidate_key(best, d))
 
 
-def ds_search(cost: BlockCost) -> MotionVector:
-    """Two-pattern diamond search: large diamond walked until its minimum sits
-    at the center, then one small-diamond refinement."""
-    center = _walk(cost, (0, 0), _LDSP)
-    return best_candidate(cost, _around(center, _SDSP))[1]
+def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern):
+    """Each block's candidate_key minimum over the legal points of `pattern`
+    around its center (k, 2), scored in pattern order; and whether it left
+    the center."""
+    cand = center[:, None] + pattern
+    legal = ((cand >= lo[:, None]) & (cand <= hi[:, None])).all(axis=2)
+    d = cand[legal]
+    keys = np.full(legal.shape, INT64_MAX)
+    costs = pair(np.broadcast_to(blocks[:, None], legal.shape)[legal], d[:, 0], d[:, 1])
+    keys[legal] = pair.keys.encode(costs, d[:, 0], d[:, 1])
+    best = keys.argmin(axis=1)
+    return cand[np.arange(len(blocks)), best], best != 0
+
+
+def ds_lockstep(pair: PairCost, blocks: np.ndarray, p: int) -> np.ndarray:
+    """Two-pattern diamond search on many blocks at once: each block walks
+    its large diamond from (0, 0) until the minimum sits at the center, every
+    still-walking block taking its step in the same gather, then all take one
+    small-diamond refinement. Candidates stay inside |dx|, |dy| <= p and the
+    frame. Returns the vectors, (k, 2)."""
+    lo, hi = pair.bounds(blocks)
+    lo, hi = np.maximum(lo, -p), np.minimum(hi, p)
+    center = np.zeros((len(blocks), 2), dtype=np.int64)
+    walking = np.arange(len(blocks))
+    while walking.size:
+        center[walking], moved = _pattern_min(
+            pair, blocks[walking], center[walking], lo[walking], hi[walking], _LDSP
+        )
+        walking = walking[moved]
+    return _pattern_min(pair, blocks, center, lo, hi, _SDSP)[0]
 
 
 def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> MotionVector:
@@ -192,37 +221,11 @@ def estimate(
     config = config or EstimatorConfig()
     cut = config.static_cut(algorithm)
     p = config.search_param
-    window = (-p, p, -p, p)
     grid = BlockGrid.for_frame(anchor, config.block_size)
-    # the per-block search: (cost, row, col, left neighbor's vector or None) -> vector
-    if algorithm == "es":
-        search = lambda cost, row, col, left: es_search(cost)
-    elif algorithm == "ds":
-        search = lambda cost, row, col, left: ds_search(cost)
-    elif algorithm == "arps":
-        search = lambda cost, row, col, left: arps_search(cost, left)
-    else:
-        swarm_config = pso or swarm.PsoConfig()
-        rng = np.random.Generator(np.random.PCG64(seed))  # the pair's stream, in raster order
-        window = None
-
-        def search(cost, row, col, left):
-            # Ordinary blocks recenter pattern A on the left neighbor's vector
-            # and (by default) try that prediction as a starting global best.
-            # The co-located point always joins the initial candidates, so the
-            # output never scores worse than staying put.
-            center = left or (0, 0)
-            seeds = ((0, 0), center) if swarm_config.seed_predictor and center != (0, 0) else ((0, 0),)
-            kind = swarm.select_pattern(row, col, grid.rows)
-            # through the module attribute, which the benchmark's tracer wraps
-            return swarm.pso_match(cost, swarm.init_pattern(kind, center), seeds, swarm_config, rng)
-
     field = MotionField.empty(grid)
-    if keep_memos:
-        field.memos = []
     anc = anchor.luma.astype(np.int16)
     tgt = target.luma.astype(np.int16)
-    colocated = [None] * grid.n_blocks
+    colocated = None
     if cut is not None:
         # Every block's co-located raw sum in one op over the tiled region. It
         # is each memo's first entry, as it is every matcher's first query.
@@ -231,18 +234,48 @@ def estimate(
         sums = diff.reshape(rows, bs, cols, bs).sum(axis=(1, 3))
         field.static_flags[...] = sums < cut
         field.evals_per_block[...] = 1
-        colocated = sums.ravel().tolist()
+        colocated = sums.ravel()
+    if keep_memos:
+        field.memos = [{} for _ in range(grid.n_blocks)] if colocated is None else [
+            {(0, 0): s} for s in colocated.tolist()
+        ]
+    moving = np.flatnonzero(~field.static_flags.ravel())
+    vectors = field.vectors.reshape(-1, 2)
 
-    static = field.static_flags.ravel().tolist()
-    for index, s in enumerate(colocated):
-        memo = {} if s is None else {(0, 0): s}
-        if not static[index]:
+    if algorithm in ("es", "arps"):
+        for index in moving.tolist():
             row, col = divmod(index, grid.cols)
-            left = field.vector(row, col - 1) if col else None  # a block's one link to the field
-            counter = EvalCounter(memo)
-            cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
-            field.vectors[row, col] = search(cost, row, col, left)
+            counter = EvalCounter({} if colocated is None else {(0, 0): int(colocated[index])})
+            cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, (-p, p, -p, p))
+            if algorithm == "es":
+                vectors[index] = es_search(cost)
+            else:  # a block's one link to the field: its left neighbor's vector
+                vectors[index] = arps_search(cost, field.vector(row, col - 1) if col else None)
             field.evals_per_block[row, col] = counter.evals
-        if keep_memos:
-            field.memos.append(memo)
+            if keep_memos:
+                field.memos[index] = counter.memo
+        return field
+
+    if not moving.size:
+        return field
+    pair = PairCost(anc, tgt, grid)
+    if colocated is not None:
+        pair.record(moving, colocated[moving])
+    if algorithm == "ds":
+        vectors[moving] = ds_lockstep(pair, moving, p)
+    else:
+        swarm_config = pso or swarm.PsoConfig()
+        rng = np.random.Generator(np.random.PCG64(seed))
+        # the pair's stream: each moving block's draws, blocks in raster order
+        r = rng.random((moving.size, swarm_config.iterations, swarm_config.particles, 2, 2))
+        column = moving % grid.cols
+        for col in np.unique(column).tolist():  # only columns that hold a moving block
+            rank = np.flatnonzero(column == col)
+            blocks = moving[rank]
+            left = vectors[blocks - 1] if col else None  # the column's one link to the field
+            # looked up at call time, so a wrapper around the module attribute sees every column
+            vectors[blocks] = swarm.column_search(pair, blocks, left, swarm_config, r[rank])
+    field.evals_per_block.ravel()[moving] = pair.evals()[moving]
+    if keep_memos:
+        pair.fill(field.memos)
     return field

@@ -1,14 +1,18 @@
 """Matching cost and reconstruction quality metrics.
 
-BlockCost is the memoized per-block cost oracle: the pattern and swarm
-searches query it one displacement at a time, and ES fills its whole window
-in one array op (box_sums), memo and evaluation count included.
+BlockCost is the memoized per-block cost oracle: ARPS queries it one
+displacement at a time, and ES fills its whole window in one array op
+(box_sums), memo and evaluation count included. PairCost is the same memo
+for every block of one frame pair at once: the lockstep diamond search and
+the column-wavefront swarm score many (block, displacement) pairs in one
+gather, and CandidateKeys ranks them as int64 keys that order exactly as
+candidate_key does.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
 units (N the block side); EstimatorConfig.static_cut is the one place that
 converts it to a raw-sum cut, and `estimate` prejudges a whole frame against
-it in one array op, so static blocks never reach a BlockCost.
+it in one array op, so static blocks never reach a cost oracle.
 """
 
 from __future__ import annotations
@@ -157,6 +161,109 @@ def best_candidate(cost: BlockCost, candidates) -> tuple[tuple, MotionVector | N
             if k < best_key:
                 best_key, best = k, d
     return best_key, best
+
+
+INT64_MAX = np.iinfo(np.int64).max  # ranks after every candidate key: no candidate yet
+
+
+class CandidateKeys:
+    """candidate_key as one int64 per candidate, for the matchers' array paths.
+
+    In a `width` x `height` frame of 8-bit pixels searched with `block_size`
+    blocks, every frame-legal displacement has |dx| <= width - block_size and
+    |dy| <= height - block_size, and every cost is at most 255 * block_size**2.
+    So the mixed-radix number (cost, |dx| + |dy|, dy, dx), each digit offset
+    to start at 0, orders candidates exactly as candidate_key does. `cell`
+    numbers the frame-legal displacements alone; a PairCost memo key is
+    block * cells + cell. Both ranges must fit int64, else ValueError.
+    """
+
+    def __init__(self, width: int, height: int, block_size: int):
+        self.dx_reach, self.dy_reach = width - block_size, height - block_size
+        self.dx_span = 2 * self.dx_reach + 1
+        self.cells = (2 * self.dy_reach + 1) * self.dx_span
+        self.cost_unit = (self.dx_reach + self.dy_reach + 1) * self.cells
+        blocks = (width // block_size) * (height // block_size)
+        top = max((255 * block_size * block_size + 1) * self.cost_unit, blocks * self.cells)
+        if top > INT64_MAX:
+            raise ValueError(
+                f"candidate keys of a {width}x{height} frame with {block_size}x{block_size} "
+                f"blocks overflow int64"
+            )
+
+    def cell(self, dx, dy):
+        """The displacement's index in raster order of (dy, dx) over the frame box."""
+        return (dy + self.dy_reach) * self.dx_span + (dx + self.dx_reach)
+
+    def encode(self, costs, dx, dy):
+        """Keys of the candidates (costs[i], (dx[i], dy[i])), elementwise."""
+        return costs * self.cost_unit + (np.abs(dx) + np.abs(dy)) * self.cells + self.cell(dx, dy)
+
+    def cost(self, key) -> int:
+        """The raw cost a key was encoded from."""
+        return int(key) // self.cost_unit
+
+
+class PairCost:
+    """Memoized costs of many (block, displacement) pairs of one frame pair.
+
+    anchor/target are the pair's int16 frames and grid their block tiling.
+    Calling it with block indices (raster order) and frame-legal
+    displacements, arrays that broadcast together, returns their raw SAD sums, each pair computed once, in one
+    gather from a sliding-window view of the anchor. One dict memoizes them
+    all under block * cells + cell (see CandidateKeys) in first-query order,
+    within a call in array order, so each block's entries keep the order a
+    BlockCost memo would give them.
+    """
+
+    def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
+        bs, rows, cols = grid.block_size, grid.rows, grid.cols
+        self.height, self.width = anchor.shape
+        self.grid = grid
+        self.keys = CandidateKeys(self.width, self.height, bs)
+        self._windows = sliding_window_view(anchor, (bs, bs))
+        tiles = target[: rows * bs, : cols * bs].reshape(rows, bs, cols, bs)
+        self._tiles = tiles.swapaxes(1, 2).reshape(rows * cols, bs, bs)
+        index = np.arange(rows * cols)
+        self.x, self.y = index % cols * bs, index // cols * bs
+        self.memo: dict[int, int] = {}
+
+    def bounds(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frame-legal (dx, dy) minima and maxima of the blocks, each (k, 2)."""
+        origin = (self.x[blocks], self.y[blocks])
+        dx_min, dx_max, dy_min, dy_max = displacement_bounds(self.width, self.height, origin, self.grid.block_size)
+        return np.stack((dx_min, dy_min), 1), np.stack((dx_max, dy_max), 1)
+
+    def record(self, blocks: np.ndarray, costs: np.ndarray) -> None:
+        """Memoize the blocks' known co-located costs, as their first entries."""
+        keys = blocks * self.keys.cells + self.keys.cell(0, 0)
+        self.memo.update(zip(keys.tolist(), costs.tolist()))
+
+    def __call__(self, blocks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        keys = (blocks * self.keys.cells + self.keys.cell(dx, dy)).ravel().tolist()
+        memo = self.memo
+        costs = [memo.get(key) for key in keys]
+        if None in costs:
+            fresh = np.array(list(dict.fromkeys(k for k, c in zip(keys, costs) if c is None)))
+            block, cell = np.divmod(fresh, self.keys.cells)
+            dy_new, dx_new = np.divmod(cell, self.keys.dx_span)
+            cand = self._windows[self.y[block] + (dy_new - self.keys.dy_reach), self.x[block] + (dx_new - self.keys.dx_reach)]
+            memo.update(zip(fresh.tolist(), np.abs(cand - self._tiles[block]).sum(axis=(1, 2)).tolist()))
+            costs = [memo[key] for key in keys]
+        return np.array(costs, dtype=np.int64).reshape(np.broadcast_shapes(np.shape(blocks), np.shape(dx)))
+
+    def evals(self) -> np.ndarray:
+        """Distinct displacements memoized per block, raster order."""
+        blocks = np.fromiter(self.memo, dtype=np.int64, count=len(self.memo)) // self.keys.cells
+        return np.bincount(blocks, minlength=self.grid.n_blocks)
+
+    def fill(self, memos: list[dict[MotionVector, int]]) -> None:
+        """Add each block's memo entries to memos[block], in first-query order."""
+        k = self.keys
+        for key, cost in self.memo.items():
+            block, cell = divmod(key, k.cells)
+            dy, dx = divmod(cell, k.dx_span)
+            memos[block][(dx - k.dx_reach, dy - k.dy_reach)] = cost
 
 
 def frame_mse(a: Frame, b: Frame) -> float:

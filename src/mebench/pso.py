@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import MotionVector
-from .metrics import BlockCost, best_candidate, candidate_key
+from .metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost
 
 PATTERN_KINDS = ("A", "B", "C", "D")
 
@@ -103,7 +103,96 @@ def init_pattern(kind: str, center: MotionVector = (0, 0)) -> list[MotionVector]
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:
     """Round half away from zero, elementwise (floats in, floats out)."""
-    return np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5))
+    return np.copysign(np.floor(np.abs(v) + 0.5), v)
+
+
+def _swarm(score, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, r, trace=None):
+    """The fixed-iteration swarm on k independent blocks at once; their best
+    evaluated displacements, (k, 2) int64.
+
+    score maps (k, m, 2) integer displacements to their (k, m) raw costs,
+    block by block in array order. starts (k, P, 2) are the pattern
+    positions, particle i starting at starts[:, i % P]; seeds (k, s, 2) the
+    initial global-best candidates. Both are clamped to the per-block box
+    lo..hi ((k, 2) each); r (k, iterations, particles, 2, 2) holds each
+    block's uniforms. `trace` receives the first block's state after each
+    iteration's velocity/position update.
+    """
+    lo, hi = lo[:, None], hi[:, None]
+    k, n = len(starts), config.particles
+    block = np.arange(k)
+    gbest_key = np.full(k, INT64_MAX)
+    gbest = np.zeros((k, 2), dtype=np.int64)
+    if seeds.shape[1]:
+        seeds = np.minimum(np.maximum(seeds, lo), hi)
+        seed_keys = keys.encode(score(seeds), seeds[..., 0], seeds[..., 1])
+        best = seed_keys.argmin(1)
+        gbest_key, gbest = seed_keys[block, best], seeds[block, best]
+    pos = np.minimum(np.maximum(starts[:, np.arange(n) % starts.shape[1]], lo), hi).astype(np.float64)
+    vel = np.zeros((k, n, 2), dtype=np.float64)
+    pbest = np.zeros((k, n, 2), dtype=np.float64)
+    pbest_key = np.full((k, n), INT64_MAX)
+    c1r, c2r = config.c1 * r[..., 0], config.c2 * r[..., 1]  # [block][iteration][particle][dim]
+
+    for t in range(config.iterations):
+        q = np.minimum(np.maximum(_round_half_away(pos), lo), hi).astype(np.int64)
+        q_keys = keys.encode(score(q), q[..., 0], q[..., 1])
+        better = q_keys < pbest_key
+        pbest_key = np.minimum(q_keys, pbest_key)
+        pbest = np.where(better[..., None], q, pbest)
+        # synchronous global-best update after the full evaluation pass
+        best = pbest_key.argmin(1)
+        improved = pbest_key[block, best] < gbest_key
+        gbest_key = np.minimum(pbest_key[block, best], gbest_key)
+        gbest = np.where(improved[:, None], pbest[block, best], gbest)
+        w = inertia_weight(t, config.iterations, config.w_start, config.w_end)
+        vel = w * vel + c1r[:, t] * (pbest - pos) + c2r[:, t] * (gbest[:, None] - pos)
+        vel = np.minimum(np.maximum(vel, -config.v_max), config.v_max)
+        pos += vel
+        if trace is not None:
+            trace.append(
+                {
+                    "iteration": t,
+                    "w": w,
+                    "velocities": vel[0].copy(),
+                    "positions": pos[0].copy(),
+                    "gbest": (int(gbest[0, 0]), int(gbest[0, 1])),
+                    "gbest_cost": keys.cost(gbest_key[0]),
+                }
+            )
+    return gbest.astype(np.int64)
+
+
+def column_search(
+    pair: PairCost, blocks: np.ndarray, left: np.ndarray | None, config: PsoConfig, r: np.ndarray
+) -> np.ndarray:
+    """The swarm on the moving blocks of one grid column at once, scored and
+    memoized through the frame pair's PairCost; their vectors, (k, 2).
+
+    blocks are raster indices, top to bottom; left holds their left
+    neighbors' vectors, (k, 2), or is None in column 0. A block off the
+    leftmost column recenters pattern A on its left neighbor's vector and (by
+    default) tries that prediction as a starting global best; down the
+    leftmost column B, C and D start at (0, 0). The co-located point always
+    joins the initial candidates, so no output scores worse than staying
+    put. r is (k, iterations, particles, 2, 2), each block's uniforms.
+    """
+    if left is None:
+        rows = (blocks // pair.grid.cols).tolist()
+        starts = np.array([_PATTERNS[select_pattern(row, 0, pair.grid.rows)] for row in rows])
+        center = np.zeros((len(blocks), 2), dtype=np.int64)
+    else:
+        center = left.astype(np.int64)
+        starts = center[:, None] + np.array(_PATTERNS["A"])
+    zero = np.zeros_like(center)
+    # a block with center (0, 0) tries it twice, which neither counts nor ranks differently
+    seeds = np.stack((zero, center) if config.seed_predictor else (zero,), 1)
+    lo, hi = pair.bounds(blocks)
+
+    def score(q):
+        return pair(blocks[:, None], q[..., 0], q[..., 1])
+
+    return _swarm(score, pair.keys, starts, seeds, lo, hi, config, r)
 
 
 def pso_match(
@@ -115,7 +204,8 @@ def pso_match(
     trace: list | None = None,
 ) -> MotionVector:
     """Run the fixed-iteration swarm on one block and return the best
-    evaluated displacement.
+    evaluated displacement: the one-block case of the column swarm, scored
+    one displacement at a time through `cost`.
 
     seed_candidates are clamped, evaluated once each, and installed as
     initial global-best candidates (they take no part in the dynamics).
@@ -124,46 +214,22 @@ def pso_match(
     is given, it receives one dict per iteration with copies of the swarm
     state after the velocity/position update.
     """
-    gbest_key, gbest = best_candidate(cost, [cost.clamp(c) for c in seed_candidates])
     dx_min, dx_max, dy_min, dy_max = cost.bounds
-    lo, hi = (dx_min, dy_min), (dx_max, dy_max)
-    n = config.particles
-    pos = np.clip(np.resize(np.array(pattern_positions, dtype=np.float64), (n, 2)), lo, hi)
-    vel = np.zeros((n, 2), dtype=np.float64)
-    pbest = np.zeros((n, 2), dtype=np.float64)
-    pbest_key = [(float("inf"),)] * n
+    h, w = cost.anchor.shape
+    r = rng.random((1, config.iterations, config.particles, 2, 2))
 
-    for t in range(config.iterations):
-        evaluated = np.clip(_round_half_away(pos), lo, hi).astype(np.int64).tolist()
-        for i, (qx, qy) in enumerate(evaluated):
-            k = candidate_key(cost((qx, qy)), (qx, qy))
-            if k < pbest_key[i]:
-                pbest_key[i] = k
-                pbest[i] = (qx, qy)
-        # synchronous global-best update after the full evaluation pass
-        best = min(range(n), key=pbest_key.__getitem__)
-        if pbest_key[best] < gbest_key:
-            gbest_key = pbest_key[best]
-            gbest = (int(pbest[best, 0]), int(pbest[best, 1]))
-        w = inertia_weight(t, config.iterations, config.w_start, config.w_end)
-        r = rng.random((n, 2, 2))  # [particle][dim][r1, r2]
-        vel = np.clip(
-            w * vel
-            + config.c1 * r[..., 0] * (pbest - pos)
-            + config.c2 * r[..., 1] * (np.array(gbest, dtype=np.float64) - pos),
-            -config.v_max,
-            config.v_max,
-        )
-        pos += vel
-        if trace is not None:
-            trace.append(
-                {
-                    "iteration": t,
-                    "w": w,
-                    "velocities": vel.copy(),
-                    "positions": pos.copy(),
-                    "gbest": gbest,
-                    "gbest_cost": gbest_key[0],
-                }
-            )
-    return gbest
+    def score(q):
+        return np.array([[cost(d) for d in map(tuple, q[0].tolist())]], dtype=np.int64)
+
+    gbest = _swarm(
+        score,
+        CandidateKeys(w, h, cost.block_size),
+        np.array(pattern_positions, dtype=np.int64).reshape(1, -1, 2),
+        np.array(seed_candidates, dtype=np.int64).reshape(1, -1, 2),
+        np.array([[dx_min, dy_min]]),
+        np.array([[dx_max, dy_max]]),
+        config,
+        r,
+        trace,
+    )
+    return (int(gbest[0, 0]), int(gbest[0, 1]))

@@ -8,7 +8,6 @@ from mebench import (
     Frame,
     arps_search,
     block_origin,
-    ds_search,
     es_search,
     estimate,
 )
@@ -123,9 +122,10 @@ def test_es_matches_brute_force_oracle():
 
 def test_ds_stationary_block_13_evals():
     f = noise_frame(64, 80, 6)
-    cost, counter = make_cost(f, f, (16, 16), window=(-7, 7, -7, 7))
-    assert ds_search(cost) == (0, 0)
-    assert counter.evals == 13  # 9-point large diamond + 4 fresh small-diamond points
+    field = estimate("ds", f, f, EstimatorConfig(search_param=7))
+    interior = field.evals_per_block[1:-1, 1:-1]
+    assert interior.size and (field.vectors[1:-1, 1:-1] == 0).all()
+    assert (interior == 13).all()  # 9-point large diamond + 4 fresh small-diamond points
 
 
 def test_ds_recovers_small_shift():
@@ -138,11 +138,11 @@ def test_ds_recovers_small_shift():
 def test_ds_never_beats_es():
     anchor = Frame(smooth_texture(48, 64, seed=8))
     target = noise_frame(48, 64, 9)
-    grid = BlockGrid.for_frame(anchor)
-    for index in range(grid.n_blocks):
-        origin = block_origin(grid, index)
+    field = estimate("ds", anchor, target, EstimatorConfig(search_param=7))
+    for index in range(field.grid.n_blocks):
+        origin = block_origin(field.grid, index)
         cost, _ = make_cost(anchor, target, origin, window=(-7, 7, -7, 7))
-        ds_mv = ds_search(cost)
+        ds_mv = field.vector(*divmod(index, field.grid.cols))
         es_cost, _ = brute_force_best(anchor, target, origin, p=7)
         assert cost(ds_mv) >= es_cost
 

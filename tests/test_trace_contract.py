@@ -1,10 +1,10 @@
 """The benchmark's tracer (benchmarks/tracing.py) wraps mebench names and reads
-memo hits off BlockCost.__call__. A renamed target, ES no longer calling
-__call__, or `estimate` binding pso_match at import time (so the wrapped
-module attribute is never called) turns its per-layer metrics into null or
-zero; these tests catch all three. They also hold `estimate` to prejudging
-a whole frame before building any per-block cost oracle, and the package's
-`__all__` to names that exist."""
+memo hits off BlockCost.__call__. A renamed target, ES or ARPS no longer
+calling __call__, or `estimate` binding the swarm's column step at import
+time (so a wrapped module attribute is never called) turns its per-layer
+metrics into null or zero; these tests catch all three. They also hold
+`estimate` to prejudging a whole frame before building any per-block cost
+oracle, and the package's `__all__` to names that exist."""
 
 from __future__ import annotations
 
@@ -69,19 +69,26 @@ def static_and_patch_clip() -> tuple[Frame, Frame]:
 
 
 def test_swarm_searches_through_the_module_attribute(monkeypatch):
-    match = pso.pso_match
+    step = pso.column_search
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].counter)
-        return match(*args, **kwargs)
+    def counted(pair, blocks, *args, **kwargs):
+        before = len(pair.memo)
+        vectors = step(pair, blocks, *args, **kwargs)
+        calls.append((blocks, len(pair.memo) - before))  # the evaluations this column made
+        return vectors
 
-    monkeypatch.setattr(pso, "pso_match", counted)
+    monkeypatch.setattr(pso, "column_search", counted)
     field = estimate("pso-zmp", *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8))
-    moving = field.grid.n_blocks - field.static_count
-    assert 0 < moving < field.grid.n_blocks
-    assert len(calls) == moving
-    assert sum(c.evals for c in calls) == int(field.evals_per_block[~field.static_flags].sum())
+    moving = np.flatnonzero(~field.static_flags)
+    cols = field.grid.cols
+    assert 0 < moving.size < field.grid.n_blocks
+    # once per column that holds a moving block, left to right, each with all of them
+    assert [int(blocks[0]) % cols for blocks, _ in calls] == sorted(set((moving % cols).tolist()))
+    assert np.concatenate([blocks for blocks, _ in calls]).tolist() == sorted(moving, key=lambda b: (b % cols, b))
+    # each moving block's first evaluation is its prejudged co-located sum
+    made = sum(n for _, n in calls)
+    assert made + moving.size == int(field.evals_per_block[~field.static_flags].sum())
 
 
 @pytest.mark.parametrize("algorithm", ["arps", "pso-zmp"])
@@ -96,7 +103,27 @@ def test_static_blocks_build_no_cost_oracle(monkeypatch, algorithm):
     monkeypatch.setattr(BlockCost, "__init__", counted)
     field = estimate(algorithm, *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8))
     assert 0 < field.static_count < field.grid.n_blocks
-    assert built == [block_origin(field.grid, i) for i in np.flatnonzero(~field.static_flags)]
+    if algorithm == "arps":
+        assert built == [block_origin(field.grid, i) for i in np.flatnonzero(~field.static_flags)]
+    else:  # the swarm scores every block through the frame pair's PairCost
+        assert built == []
+
+
+def test_arps_makes_memo_miss_calls_on_every_moving_block(monkeypatch):
+    # These calls keep the result line's metrics.cost_calls_per_pair and
+    # metrics.sad_us_per_eval numeric on workloads without ES.
+    call = BlockCost.__call__
+    misses = []
+
+    def counted(self, d):
+        if d not in self.counter.memo:
+            misses.append((self.x, self.y))
+        return call(self, d)
+
+    monkeypatch.setattr(BlockCost, "__call__", counted)
+    field = estimate("arps", *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8))
+    moving = [block_origin(field.grid, i) for i in np.flatnonzero(~field.static_flags)]
+    assert moving and set(moving) <= set(misses)
 
 
 def test_star_import_resolves_every_exported_name():
