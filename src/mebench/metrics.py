@@ -182,6 +182,7 @@ class CandidateKeys:
         self.dx_reach, self.dy_reach = width - block_size, height - block_size
         self.dx_span = 2 * self.dx_reach + 1
         self.cells = (2 * self.dy_reach + 1) * self.dx_span
+        self._cell_zero = self.dy_reach * self.dx_span + self.dx_reach  # cell(0, 0)
         self.cost_unit = (self.dx_reach + self.dy_reach + 1) * self.cells
         blocks = (width // block_size) * (height // block_size)
         top = max((255 * block_size * block_size + 1) * self.cost_unit, blocks * self.cells)
@@ -193,11 +194,13 @@ class CandidateKeys:
 
     def cell(self, dx, dy):
         """The displacement's index in raster order of (dy, dx) over the frame box."""
-        return (dy + self.dy_reach) * self.dx_span + (dx + self.dx_reach)
+        return dy * self.dx_span + (dx + self._cell_zero)
 
-    def encode(self, costs, dx, dy):
-        """Keys of the candidates (costs[i], (dx[i], dy[i])), elementwise."""
-        return costs * self.cost_unit + (np.abs(dx) + np.abs(dy)) * self.cells + self.cell(dx, dy)
+    def encode(self, costs, dx, dy, cell=None):
+        """Keys of the candidates (costs[i], (dx[i], dy[i])), elementwise;
+        `cell` may pass in cell(dx, dy) when it is already known."""
+        cell = self.cell(dx, dy) if cell is None else cell
+        return costs * self.cost_unit + (np.abs(dx) + np.abs(dy)) * self.cells + cell
 
     def cost(self, key) -> int:
         """The raw cost a key was encoded from."""
@@ -208,12 +211,12 @@ class PairCost:
     """Memoized costs of many (block, displacement) pairs of one frame pair.
 
     anchor/target are the pair's int16 frames and grid their block tiling.
-    Calling it with block indices (raster order) and frame-legal
-    displacements, arrays that broadcast together, returns their raw SAD sums, each pair computed once, in one
-    gather from a sliding-window view of the anchor. One dict memoizes them
-    all under block * cells + cell (see CandidateKeys) in first-query order,
-    within a call in array order, so each block's entries keep the order a
-    BlockCost memo would give them.
+    `rank` takes block indices (raster order) and frame-legal displacements,
+    arrays that broadcast together, computes the raw SAD sum of each new pair
+    in one gather from a sliding-window view of the anchor, and returns their
+    candidate keys. One dict memoizes every cost under block * cells + cell
+    (see CandidateKeys) in first-query order, within a call in array order,
+    so each block's entries keep the order a BlockCost memo would give them.
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
@@ -226,6 +229,8 @@ class PairCost:
         self._tiles = tiles.swapaxes(1, 2).reshape(rows * cols, bs, bs)
         index = np.arange(rows * cols)
         self.x, self.y = index % cols * bs, index // cols * bs
+        # a cell's (row, col) in the displacement box plus these is its anchor window
+        self._wx, self._wy = self.x - self.keys.dx_reach, self.y - self.keys.dy_reach
         self.memo: dict[int, int] = {}
 
     def bounds(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,18 +244,22 @@ class PairCost:
         keys = blocks * self.keys.cells + self.keys.cell(0, 0)
         self.memo.update(zip(keys.tolist(), costs.tolist()))
 
-    def __call__(self, blocks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        keys = (blocks * self.keys.cells + self.keys.cell(dx, dy)).ravel().tolist()
+    def rank(self, blocks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """The candidate keys (CandidateKeys.encode) of the pairs, their costs
+        taken from the memo or computed in one gather and memoized."""
+        cell = self.keys.cell(dx, dy)
+        keys = blocks * self.keys.cells + cell
+        flat = keys.ravel().tolist()
         memo = self.memo
-        costs = [memo.get(key) for key in keys]
+        costs = list(map(memo.get, flat))
         if None in costs:
-            fresh = np.array(list(dict.fromkeys(k for k, c in zip(keys, costs) if c is None)))
-            block, cell = np.divmod(fresh, self.keys.cells)
-            dy_new, dx_new = np.divmod(cell, self.keys.dx_span)
-            cand = self._windows[self.y[block] + (dy_new - self.keys.dy_reach), self.x[block] + (dx_new - self.keys.dx_reach)]
+            fresh = np.array(list(dict.fromkeys([k for k, c in zip(flat, costs) if c is None])))
+            block, cell_new = np.divmod(fresh, self.keys.cells)
+            row, col = np.divmod(cell_new, self.keys.dx_span)
+            cand = self._windows[self._wy[block] + row, self._wx[block] + col]
             memo.update(zip(fresh.tolist(), np.abs(cand - self._tiles[block]).sum(axis=(1, 2)).tolist()))
-            costs = [memo[key] for key in keys]
-        return np.array(costs, dtype=np.int64).reshape(np.broadcast_shapes(np.shape(blocks), np.shape(dx)))
+            costs = list(map(memo.__getitem__, flat))
+        return self.keys.encode(np.array(costs, dtype=np.int64).reshape(keys.shape), dx, dy, cell)
 
     def evals(self) -> np.ndarray:
         """Distinct displacements memoized per block, raster order."""

@@ -102,16 +102,16 @@ def init_pattern(kind: str, center: MotionVector = (0, 0)) -> list[MotionVector]
 
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:
-    """Round half away from zero, elementwise (floats in, floats out)."""
-    return np.copysign(np.floor(np.abs(v) + 0.5), v)
+    """Round half away from zero, elementwise, to int64 (the cast truncates)."""
+    return (v + np.copysign(0.5, v)).astype(np.int64)
 
 
-def _swarm(score, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, r, trace=None):
+def _swarm(rank, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, r, trace=None):
     """The fixed-iteration swarm on k independent blocks at once; their best
     evaluated displacements, (k, 2) int64.
 
-    score maps (k, m, 2) integer displacements to their (k, m) raw costs,
-    block by block in array order. starts (k, P, 2) are the pattern
+    rank maps (k, m, 2) integer displacements to their (k, m) candidate keys
+    (CandidateKeys.encode), scoring them block by block in array order. starts (k, P, 2) are the pattern
     positions, particle i starting at starts[:, i % P]; seeds (k, s, 2) the
     initial global-best candidates. Both are clamped to the per-block box
     lo..hi ((k, 2) each); r (k, iterations, particles, 2, 2) holds each
@@ -125,7 +125,7 @@ def _swarm(score, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig,
     gbest = np.zeros((k, 2), dtype=np.int64)
     if seeds.shape[1]:
         seeds = np.minimum(np.maximum(seeds, lo), hi)
-        seed_keys = keys.encode(score(seeds), seeds[..., 0], seeds[..., 1])
+        seed_keys = rank(seeds)
         best = seed_keys.argmin(1)
         gbest_key, gbest = seed_keys[block, best], seeds[block, best]
     pos = np.minimum(np.maximum(starts[:, np.arange(n) % starts.shape[1]], lo), hi).astype(np.float64)
@@ -135,8 +135,8 @@ def _swarm(score, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig,
     c1r, c2r = config.c1 * r[..., 0], config.c2 * r[..., 1]  # [block][iteration][particle][dim]
 
     for t in range(config.iterations):
-        q = np.minimum(np.maximum(_round_half_away(pos), lo), hi).astype(np.int64)
-        q_keys = keys.encode(score(q), q[..., 0], q[..., 1])
+        q = np.minimum(np.maximum(_round_half_away(pos), lo), hi)
+        q_keys = rank(q)
         better = q_keys < pbest_key
         pbest_key = np.minimum(q_keys, pbest_key)
         pbest = np.where(better[..., None], q, pbest)
@@ -189,10 +189,10 @@ def column_search(
     seeds = np.stack((zero, center) if config.seed_predictor else (zero,), 1)
     lo, hi = pair.bounds(blocks)
 
-    def score(q):
-        return pair(blocks[:, None], q[..., 0], q[..., 1])
+    def rank(q):
+        return pair.rank(blocks[:, None], q[..., 0], q[..., 1])
 
-    return _swarm(score, pair.keys, starts, seeds, lo, hi, config, r)
+    return _swarm(rank, pair.keys, starts, seeds, lo, hi, config, r)
 
 
 def pso_match(
@@ -218,12 +218,15 @@ def pso_match(
     h, w = cost.anchor.shape
     r = rng.random((1, config.iterations, config.particles, 2, 2))
 
-    def score(q):
-        return np.array([[cost(d) for d in map(tuple, q[0].tolist())]], dtype=np.int64)
+    keys = CandidateKeys(w, h, cost.block_size)
+
+    def rank(q):
+        costs = np.array([[cost(d) for d in map(tuple, q[0].tolist())]], dtype=np.int64)
+        return keys.encode(costs, q[..., 0], q[..., 1])
 
     gbest = _swarm(
-        score,
-        CandidateKeys(w, h, cost.block_size),
+        rank,
+        keys,
         np.array(pattern_positions, dtype=np.int64).reshape(1, -1, 2),
         np.array(seed_candidates, dtype=np.int64).reshape(1, -1, 2),
         np.array([[dx_min, dy_min]]),
