@@ -89,6 +89,26 @@ def _check_max_frames(max_frames: int | None) -> None:
         raise ValueError(f"--frames (max_frames) must be >= 1, got {max_frames}")
 
 
+# Largest single read. A header can claim any frame size, so a payload is
+# read in pieces of at most this many bytes and grows only as the file
+# delivers them; a short file then fails as truncated, not out of memory.
+_READ_CHUNK = 1 << 24
+
+
+def _read_payload(f, size: int) -> bytes | bytearray:
+    """Up to `size` bytes from f, fewer only at end of file."""
+    payload = f.read(min(size, _READ_CHUNK))
+    if len(payload) == size or len(payload) < _READ_CHUNK:
+        return payload
+    buf = bytearray(payload)
+    while len(buf) < size:
+        part = f.read(min(size - len(buf), _READ_CHUNK))
+        if not part:
+            break
+        buf += part
+    return buf
+
+
 def _luma_frame(payload: bytes, width: int, height: int) -> Frame:
     """The luma plane that leads one frame's payload, as a Frame of its own."""
     return Frame(np.frombuffer(payload, np.uint8, width * height).reshape(height, width).copy())
@@ -143,7 +163,7 @@ def load_y4m(path: str | Path, max_frames: int | None = None) -> Sequence:
                 raise VideoFormatError(
                     f"frame {len(frames)}: expected FRAME marker, got {marker[:-1][:16]!r}"
                 )
-            payload = f.read(frame_size)
+            payload = _read_payload(f, frame_size)
             if len(payload) < frame_size:
                 raise VideoFormatError(
                     f"frame {len(frames)}: truncated payload, "
@@ -174,7 +194,7 @@ def load_raw_yuv(
     frames: list[Frame] = []
     with open(path, "rb") as f:
         while max_frames is None or len(frames) < max_frames:
-            payload = f.read(frame_size)
+            payload = _read_payload(f, frame_size)
             if len(payload) < frame_size:
                 break
             frames.append(_luma_frame(payload, width, height))

@@ -7,7 +7,8 @@ and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
 `estimate` for every algorithm: legal vectors, evals == len(memo), and the
-static-block prejudgment."""
+static-block prejudgment. The int64 candidate keys of the array paths are
+held to candidate_key's order, and PairCost's memo to BlockCost's."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from mebench import (
     sad_sum,
 )
 from mebench.blocks import displacement_bounds
-from mebench.metrics import BlockCost, candidate_key
+from mebench.metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost, candidate_key
 
 CONTENT = ("noise", "flat", "two-level", "periodic")
 
@@ -273,6 +274,83 @@ def test_pattern_searches_equal_scalar_references(
         assert field.vector(row, col) == expected
         assert list(memo.items()) == list(counter.memo.items())  # same points, same order
         assert field.evals_per_block[row, col] == counter.evals
+
+
+@st.composite
+def frame_candidates(draw):
+    """(width, height, block size, two (cost, displacement) candidates): any
+    frame-legal displacement, frame edges and ties as often as anything else."""
+    bs = draw(st.integers(2, 16))
+    w = draw(st.integers(bs, 12 * bs))
+    h = draw(st.integers(bs, 12 * bs))
+    top = 255 * bs * bs
+
+    def component(reach):
+        return st.one_of(st.sampled_from([-reach, reach, 0]), st.integers(-reach, reach))
+
+    def candidate():
+        cost = draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
+        return cost, (draw(component(w - bs)), draw(component(h - bs)))
+
+    a = candidate()
+    tie = draw(st.sampled_from(["none", "cost", "cost and |dx|+|dy|", "all"]))
+    if tie == "none":
+        b = candidate()
+    elif tie == "cost":
+        b = (a[0], candidate()[1])
+    elif tie == "cost and |dx|+|dy|":
+        b = (a[0], (-a[1][0], a[1][1]))
+    else:
+        b = a
+    return w, h, bs, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=frame_candidates())
+def test_candidate_keys_order_as_candidate_key(case):
+    w, h, bs, a, b = case
+    keys = CandidateKeys(w, h, bs)
+    ka, kb = (int(keys.encode(np.int64(c), np.int64(d[0]), np.int64(d[1]))) for c, d in (a, b))
+    want = candidate_key(*a), candidate_key(*b)
+    assert (ka < kb, ka == kb) == (want[0] < want[1], want[0] == want[1])
+    assert keys.cost(ka) == a[0] and keys.cost(kb) == b[0]
+    # the largest key of the frame (highest cost at a far corner) still fits
+    corner = np.int64(-(w - bs)), np.int64(-(h - bs))
+    assert 0 <= int(keys.encode(np.int64(255 * bs * bs), *corner)) < INT64_MAX
+
+
+@pytest.mark.parametrize(
+    "side,block",
+    [
+        (30_000, 16),  # cost times the displacement ranks overflows
+        (100_000, 2),  # block times the displacement cells overflows
+    ],
+)
+def test_candidate_keys_beyond_int64_are_refused(side, block):
+    with pytest.raises(ValueError) as info:
+        CandidateKeys(side, side, block)
+    assert str(info.value) == f"candidate keys of a {side}x{side} frame with {block}x{block} blocks overflow int64"
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=frame_pairs(), data=st.data())
+def test_pair_cost_memo_equals_block_costs(pair, data):
+    anchor, target, bs, rng = pair
+    grid = BlockGrid.for_frame(Frame(anchor), bs)
+    anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
+    costs = PairCost(anc, tgt, grid)
+    singles = [BlockCost(anc, tgt, block_origin(grid, i), bs, EvalCounter()) for i in range(grid.n_blocks)]
+    for _ in range(data.draw(st.integers(1, 4))):  # a few calls, repeats and duplicates included
+        blocks = rng.integers(0, grid.n_blocks, data.draw(st.integers(1, 12)))
+        lo, hi = costs.bounds(blocks)
+        d = rng.integers(lo, hi + 1) if data.draw(st.booleans()) else np.clip(rng.integers(-2, 3, lo.shape), lo, hi)
+        got = costs.rank(blocks, d[:, 0], d[:, 1])
+        for b, (dx, dy), key in zip(blocks.tolist(), d.tolist(), got.tolist()):
+            assert key == costs.keys.encode(singles[b]((dx, dy)), dx, dy)
+    memos = [{} for _ in range(grid.n_blocks)]
+    costs.fill(memos)
+    assert [list(m.items()) for m in memos] == [list(c.counter.memo.items()) for c in singles]
+    assert costs.evals().tolist() == [c.counter.evals for c in singles]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,13 @@
+import os
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mebench import Frame, Sequence, VideoFormatError, load_raw_yuv, load_y4m, read_pgm, write_pgm
+from mebench import Frame, Sequence, VideoFormatError, load_raw_yuv, load_y4m, read_pgm, video_io, write_pgm
+from mebench.cli import main
 
 from conftest import noise_frame, write_y4m
 
@@ -336,3 +339,69 @@ def test_decode_memory_is_luma_plus_a_few_frames(tmp_path, container):
         tracemalloc.stop()
     assert len(seq) == n and seq[n - 1].luma.tobytes() == lumas[n - 1].tobytes()
     assert peak < lumas.nbytes + 4 * QCIF_FRAME_BYTES, peak
+
+
+# A header, or --width/--height, may claim frames far larger than the file.
+# The decoders read only what the file holds and report the short read; they
+# never size one read from the claim (a 10**16-byte read raised MemoryError).
+OVERSIZED = [
+    (
+        "y4m",
+        b"YUV4MPEG2 W100000000 H100000000 Cmono\nFRAME\nabc",
+        [],
+        "frame 0: truncated payload, 3 of 10000000000000000 bytes present",
+    ),
+    (
+        "yuv",
+        b"abc",
+        ["--width", "100000000", "--height", "100000000", "--chroma", "400"],
+        "file holds no full 100000000x100000000 frame (3 bytes, frame size 10000000000000000)",
+    ),
+]
+
+
+@pytest.mark.parametrize("container,data,flags,message", OVERSIZED)
+def test_oversized_frame_claim_is_a_short_read(tmp_path, capsys, container, data, flags, message):
+    path = tmp_path / f"clip.{container}"
+    path.write_bytes(data)
+    with pytest.raises(VideoFormatError) as info:
+        if container == "y4m":
+            load_y4m(path)
+        else:
+            load_raw_yuv(path, 10**8, 10**8, chroma="400")
+    assert str(info.value) == message
+    assert main(["run", "--input", str(path), *flags, "--algos", "es", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"mebench: malformed input: {message}\n"
+
+
+@pytest.mark.parametrize("container", ["y4m", "yuv"])
+def test_frames_read_in_pieces_from_a_pipe(tmp_path, monkeypatch, container):
+    monkeypatch.setattr(video_io, "_READ_CHUNK", 100)  # a 16x16 4:2:0 frame is 384 bytes
+    lumas = np.random.default_rng(1).integers(0, 256, (3, 16, 16), dtype=np.uint8)
+    clip = tmp_path / "clip"
+    if container == "y4m":
+        write_y4m(clip, list(lumas))
+    else:
+        clip.write_bytes(b"".join(luma.tobytes() + bytes(128) for luma in lumas))
+    data = clip.read_bytes()
+    for payload, cut in ((data, None), (data[:-10], "truncated")):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(payload))
+        writer.start()
+        try:
+            if cut is None:
+                seq = load_y4m(fifo) if container == "y4m" else load_raw_yuv(fifo, 16, 16)
+                assert [f.luma.tobytes() for f in seq.frames] == [luma.tobytes() for luma in lumas]
+            else:
+                expected = (
+                    "frame 2: truncated payload, 374 of 384 bytes present"
+                    if container == "y4m"
+                    else "trailing partial frame: 374 bytes remain after 2 full frames"
+                )
+                with pytest.raises(VideoFormatError) as info:
+                    load_y4m(fifo) if container == "y4m" else load_raw_yuv(fifo, 16, 16)
+                assert str(info.value) == expected
+        finally:
+            writer.join()
+            fifo.unlink()
