@@ -154,7 +154,7 @@ def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern):
     legal = ((cand >= lo[:, None]) & (cand <= hi[:, None])).all(axis=2)
     d = cand[legal]
     keys = np.full(legal.shape, INT64_MAX)
-    keys[legal] = pair.rank(np.broadcast_to(blocks[:, None], legal.shape)[legal], d[:, 0], d[:, 1])
+    keys[legal] = pair.rank(np.broadcast_to(blocks[:, None], legal.shape)[legal], d)
     best = keys.argmin(axis=1)
     return cand[np.arange(len(blocks)), best], best != 0
 

@@ -169,42 +169,43 @@ INT64_MAX = np.iinfo(np.int64).max  # ranks after every candidate key: no candid
 class CandidateKeys:
     """candidate_key as one int64 per candidate, for the matchers' array paths.
 
-    In a `width` x `height` frame of 8-bit pixels searched with `block_size`
-    blocks, every frame-legal displacement has |dx| <= width - block_size and
-    |dy| <= height - block_size, and every cost is at most 255 * block_size**2.
-    So the mixed-radix number (cost, |dx| + |dy|, dy, dx), each digit offset
-    to start at 0, orders candidates exactly as candidate_key does. `cell`
-    numbers the frame-legal displacements alone; a PairCost memo key is
-    block * cells + cell. Both ranges must fit int64, else ValueError.
+    A displacement d of the block whose top-left pixel has raster index
+    `corner` in a `width` x `height` frame reads the anchor window at index
+    at = corner + dy * width + dx, which grows with d in candidate_key's
+    (dy, dx) order. In a frame of 8-bit pixels |dx| + |dy| stays below
+    l1_span and a cost is at most 255 * block_size**2, so for one block
+
+        key = (cost * l1_span + |dx| + |dy|) * area + at
+
+    orders candidates exactly as candidate_key does; keys of different
+    blocks do not compare. A PairCost memo key is block * area + at. Both
+    ranges must fit int64, else ValueError.
     """
 
     def __init__(self, width: int, height: int, block_size: int):
-        self.dx_reach, self.dy_reach = width - block_size, height - block_size
-        self.dx_span = 2 * self.dx_reach + 1
-        self.cells = (2 * self.dy_reach + 1) * self.dx_span
-        self._cell_zero = self.dy_reach * self.dx_span + self.dx_reach  # cell(0, 0)
-        self.cost_unit = (self.dx_reach + self.dy_reach + 1) * self.cells
+        self.width, self.area = width, width * height
+        self.l1_span = (width - block_size) + (height - block_size) + 1
+        self._step = np.array([1, width])  # d @ _step is dy * width + dx
         blocks = (width // block_size) * (height // block_size)
-        top = max((255 * block_size * block_size + 1) * self.cost_unit, blocks * self.cells)
-        if top > INT64_MAX:
+        if max((255 * block_size * block_size + 1) * self.l1_span, blocks) * self.area > INT64_MAX:
             raise ValueError(
                 f"candidate keys of a {width}x{height} frame with {block_size}x{block_size} "
                 f"blocks overflow int64"
             )
 
-    def cell(self, dx, dy):
-        """The displacement's index in raster order of (dy, dx) over the frame box."""
-        return dy * self.dx_span + (dx + self._cell_zero)
+    def at(self, corner, d):
+        """Raster index of the anchor window that displacements d (..., 2)
+        of the block at `corner` read."""
+        return corner + d @ self._step
 
-    def encode(self, costs, dx, dy, cell=None):
-        """Keys of the candidates (costs[i], (dx[i], dy[i])), elementwise;
-        `cell` may pass in cell(dx, dy) when it is already known."""
-        cell = self.cell(dx, dy) if cell is None else cell
-        return costs * self.cost_unit + (np.abs(dx) + np.abs(dy)) * self.cells + cell
+    def encode(self, costs, d, at):
+        """Keys of the candidates with raw costs `costs`, displacements d
+        (..., 2) and anchor windows `at`, elementwise."""
+        return (costs * self.l1_span + np.abs(d).sum(-1)) * self.area + at
 
     def cost(self, key) -> int:
         """The raw cost a key was encoded from."""
-        return int(key) // self.cost_unit
+        return int(key) // (self.l1_span * self.area)
 
 
 class PairCost:
@@ -214,9 +215,9 @@ class PairCost:
     `rank` takes block indices (raster order) and frame-legal displacements,
     arrays that broadcast together, computes the raw SAD sum of each new pair
     in one gather from a sliding-window view of the anchor, and returns their
-    candidate keys. One dict memoizes every cost under block * cells + cell
-    (see CandidateKeys) in first-query order, within a call in array order,
-    so each block's entries keep the order a BlockCost memo would give them.
+    candidate keys. One dict memoizes every cost under block * area + at (see
+    CandidateKeys) in first-query order, within a call in array order, so
+    each block's entries keep the order a BlockCost memo would give them.
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
@@ -229,8 +230,7 @@ class PairCost:
         self._tiles = tiles.swapaxes(1, 2).reshape(rows * cols, bs, bs)
         index = np.arange(rows * cols)
         self.x, self.y = index % cols * bs, index // cols * bs
-        # a cell's (row, col) in the displacement box plus these is its anchor window
-        self._wx, self._wy = self.x - self.keys.dx_reach, self.y - self.keys.dy_reach
+        self._corner = self.y * self.width + self.x
         self.memo: dict[int, int] = {}
 
     def bounds(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,38 +241,39 @@ class PairCost:
 
     def record(self, blocks: np.ndarray, costs: np.ndarray) -> None:
         """Memoize the blocks' known co-located costs, as their first entries."""
-        keys = blocks * self.keys.cells + self.keys.cell(0, 0)
+        keys = blocks * self.keys.area + self._corner[blocks]
         self.memo.update(zip(keys.tolist(), costs.tolist()))
 
-    def rank(self, blocks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """The candidate keys (CandidateKeys.encode) of the pairs, their costs
-        taken from the memo or computed in one gather and memoized."""
-        cell = self.keys.cell(dx, dy)
-        keys = blocks * self.keys.cells + cell
+    def rank(self, blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The candidate keys (CandidateKeys.encode) of displacements d
+        (..., 2) of the blocks, their costs taken from the memo or computed
+        in one gather and memoized."""
+        at = self.keys.at(self._corner[blocks], d)
+        keys = blocks * self.keys.area + at
         flat = keys.ravel().tolist()
         memo = self.memo
         costs = list(map(memo.get, flat))
         if None in costs:
             fresh = np.array(list(dict.fromkeys([k for k, c in zip(flat, costs) if c is None])))
-            block, cell_new = np.divmod(fresh, self.keys.cells)
-            row, col = np.divmod(cell_new, self.keys.dx_span)
-            cand = self._windows[self._wy[block] + row, self._wx[block] + col]
-            memo.update(zip(fresh.tolist(), np.abs(cand - self._tiles[block]).sum(axis=(1, 2)).tolist()))
+            block, window = np.divmod(fresh, self.keys.area)
+            row, col = np.divmod(window, self.width)
+            sums = np.abs(self._windows[row, col] - self._tiles[block]).sum(axis=(1, 2))
+            memo.update(zip(fresh.tolist(), sums.tolist()))
             costs = list(map(memo.__getitem__, flat))
-        return self.keys.encode(np.array(costs, dtype=np.int64).reshape(keys.shape), dx, dy, cell)
+        return self.keys.encode(np.array(costs, dtype=np.int64).reshape(keys.shape), d, at)
 
     def evals(self) -> np.ndarray:
         """Distinct displacements memoized per block, raster order."""
-        blocks = np.fromiter(self.memo, dtype=np.int64, count=len(self.memo)) // self.keys.cells
+        blocks = np.fromiter(self.memo, dtype=np.int64, count=len(self.memo)) // self.keys.area
         return np.bincount(blocks, minlength=self.grid.n_blocks)
 
     def fill(self, memos: list[dict[MotionVector, int]]) -> None:
         """Add each block's memo entries to memos[block], in first-query order."""
-        k = self.keys
+        x, y = self.x.tolist(), self.y.tolist()
         for key, cost in self.memo.items():
-            block, cell = divmod(key, k.cells)
-            dy, dx = divmod(cell, k.dx_span)
-            memos[block][(dx - k.dx_reach, dy - k.dy_reach)] = cost
+            block, at = divmod(key, self.keys.area)
+            row, col = divmod(at, self.width)
+            memos[block][(col - x[block], row - y[block])] = cost
 
 
 def frame_mse(a: Frame, b: Frame) -> float:

@@ -1,23 +1,27 @@
 """Swarm block search: edge-aware particle seeding patterns and a
 fixed-iteration particle swarm. `estimators.estimate` runs it on every block
-it has not prejudged static, and picks the pattern and seeds per block.
+it has not prejudged static, one grid column at a time (column_search):
+blocks link only through their left neighbor, so a column's blocks are
+independent and update together. pso_match is the one-block case of the
+same swarm, scored through a BlockCost.
 
 Moving blocks get eight particles placed by a pattern keyed to the block's
 grid position (pattern A recentered on the left neighbor's vector for
 ordinary blocks, down/up-biased corner patterns and a right-biased edge
 pattern for the leftmost column). The swarm then runs a standard
 inertia-weight update for a fixed number of iterations, with velocities
-clamped component-wise; the whole swarm updates in one array expression.
+clamped component-wise; every block's swarm updates in one array expression.
 
 Particle state is continuous; positions are rounded (half away from zero)
 and clamped to the frame-legal box only when a cost is evaluated. There is
 no search-window restriction beyond frame legality.
 
-Randomness: one PCG64 stream per frame pair, held by `estimate` and
-consumed in block raster order; each particle draws four uniforms per
-iteration in the fixed order (r1 for x, r2 for x, r1 for y, r2 for y),
-particles in index order, batched as one (particles, 2, 2) draw per
-iteration.
+Randomness: one PCG64 stream per frame pair, held by `estimate` and drawn
+after prejudgment as one (moving blocks, iterations, particles, 2, 2) batch,
+blocks in raster order; each particle takes four uniforms per iteration in
+the fixed order (r1 for x, r2 for x, r1 for y, r2 for y), particles in index
+order. These are the numbers, in the order, that per-block, per-iteration
+draws would give.
 """
 
 from __future__ import annotations
@@ -110,13 +114,14 @@ def _swarm(rank, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, 
     """The fixed-iteration swarm on k independent blocks at once; their best
     evaluated displacements, (k, 2) int64.
 
-    rank maps (k, m, 2) integer displacements to their (k, m) candidate keys
-    (CandidateKeys.encode), scoring them block by block in array order. starts (k, P, 2) are the pattern
-    positions, particle i starting at starts[:, i % P]; seeds (k, s, 2) the
-    initial global-best candidates. Both are clamped to the per-block box
-    lo..hi ((k, 2) each); r (k, iterations, particles, 2, 2) holds each
-    block's uniforms. `trace` receives the first block's state after each
-    iteration's velocity/position update.
+    rank maps (k, m, 2) integer displacements to their (k, m) candidate
+    keys (CandidateKeys.encode), scoring them block by block in array order.
+    starts (k, P, 2) are the pattern positions, particle i starting at
+    starts[:, i % P]; seeds (k, s, 2) the initial global-best candidates.
+    Both are clamped to the per-block box lo..hi ((k, 2) each); r (k,
+    iterations, particles, 2, 2) holds each block's uniforms. `trace`
+    receives the first block's state after each iteration's
+    velocity/position update.
     """
     lo, hi = lo[:, None], hi[:, None]
     k, n = len(starts), config.particles
@@ -190,7 +195,7 @@ def column_search(
     lo, hi = pair.bounds(blocks)
 
     def rank(q):
-        return pair.rank(blocks[:, None], q[..., 0], q[..., 1])
+        return pair.rank(blocks[:, None], q)
 
     return _swarm(rank, pair.keys, starts, seeds, lo, hi, config, r)
 
@@ -222,7 +227,7 @@ def pso_match(
 
     def rank(q):
         costs = np.array([[cost(d) for d in map(tuple, q[0].tolist())]], dtype=np.int64)
-        return keys.encode(costs, q[..., 0], q[..., 1])
+        return keys.encode(costs, q, keys.at(cost.y * w + cost.x, q))
 
     gbest = _swarm(
         rank,

@@ -277,20 +277,24 @@ def test_pattern_searches_equal_scalar_references(
 
 
 @st.composite
-def frame_candidates(draw):
-    """(width, height, block size, two (cost, displacement) candidates): any
-    frame-legal displacement, frame edges and ties as often as anything else."""
+def block_candidates(draw):
+    """(width, height, block size, block corner, two (cost, displacement)
+    candidates of that block): frame-legal displacements, frame edges, the
+    highest cost and ties as often as anything else."""
     bs = draw(st.integers(2, 16))
     w = draw(st.integers(bs, 12 * bs))
     h = draw(st.integers(bs, 12 * bs))
+    x = draw(st.one_of(st.sampled_from([0, w - bs]), st.integers(0, w - bs)))
+    y = draw(st.one_of(st.sampled_from([0, h - bs]), st.integers(0, h - bs)))
+    dx_min, dx_max, dy_min, dy_max = displacement_bounds(w, h, (x, y), bs)
     top = 255 * bs * bs
 
-    def component(reach):
-        return st.one_of(st.sampled_from([-reach, reach, 0]), st.integers(-reach, reach))
+    def component(lo, hi):
+        return st.one_of(st.sampled_from([lo, hi, 0]), st.integers(lo, hi))
 
     def candidate():
         cost = draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
-        return cost, (draw(component(w - bs)), draw(component(h - bs)))
+        return cost, (draw(component(dx_min, dx_max)), draw(component(dy_min, dy_max)))
 
     a = candidate()
     tie = draw(st.sampled_from(["none", "cost", "cost and |dx|+|dy|", "all"]))
@@ -298,32 +302,37 @@ def frame_candidates(draw):
         b = candidate()
     elif tie == "cost":
         b = (a[0], candidate()[1])
-    elif tie == "cost and |dx|+|dy|":
+    elif tie == "cost and |dx|+|dy|" and dx_min <= -a[1][0] <= dx_max:
         b = (a[0], (-a[1][0], a[1][1]))
     else:
         b = a
-    return w, h, bs, a, b
+    return w, h, bs, y * w + x, a, b
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=frame_candidates())
+@given(case=block_candidates())
 def test_candidate_keys_order_as_candidate_key(case):
-    w, h, bs, a, b = case
+    w, h, bs, corner, a, b = case
     keys = CandidateKeys(w, h, bs)
-    ka, kb = (int(keys.encode(np.int64(c), np.int64(d[0]), np.int64(d[1]))) for c, d in (a, b))
+
+    def key(cost, d):
+        d = np.array(d)
+        return int(keys.encode(np.int64(cost), d, keys.at(corner, d)))
+
+    ka, kb = key(*a), key(*b)
     want = candidate_key(*a), candidate_key(*b)
     assert (ka < kb, ka == kb) == (want[0] < want[1], want[0] == want[1])
     assert keys.cost(ka) == a[0] and keys.cost(kb) == b[0]
-    # the largest key of the frame (highest cost at a far corner) still fits
-    corner = np.int64(-(w - bs)), np.int64(-(h - bs))
-    assert 0 <= int(keys.encode(np.int64(255 * bs * bs), *corner)) < INT64_MAX
+    # the frame's largest key (the highest cost, far corner to far corner) still fits
+    reach = np.array([w - bs, h - bs])
+    assert 0 <= int(keys.encode(np.int64(255 * bs * bs), reach, keys.at(0, reach))) < INT64_MAX
 
 
 @pytest.mark.parametrize(
     "side,block",
     [
-        (30_000, 16),  # cost times the displacement ranks overflows
-        (100_000, 2),  # block times the displacement cells overflows
+        (50_000, 16),  # cost times the displacement ranks overflows
+        (100_000, 2),  # block times the anchor windows overflows
     ],
 )
 def test_candidate_keys_beyond_int64_are_refused(side, block):
@@ -344,9 +353,11 @@ def test_pair_cost_memo_equals_block_costs(pair, data):
         blocks = rng.integers(0, grid.n_blocks, data.draw(st.integers(1, 12)))
         lo, hi = costs.bounds(blocks)
         d = rng.integers(lo, hi + 1) if data.draw(st.booleans()) else np.clip(rng.integers(-2, 3, lo.shape), lo, hi)
-        got = costs.rank(blocks, d[:, 0], d[:, 1])
+        got = costs.rank(blocks, d)
         for b, (dx, dy), key in zip(blocks.tolist(), d.tolist(), got.tolist()):
-            assert key == costs.keys.encode(singles[b]((dx, dy)), dx, dy)
+            corner = singles[b].y * anchor.shape[1] + singles[b].x
+            at = costs.keys.at(corner, np.array([dx, dy]))
+            assert key == costs.keys.encode(singles[b]((dx, dy)), np.array([dx, dy]), at)
     memos = [{} for _ in range(grid.n_blocks)]
     costs.fill(memos)
     assert [list(m.items()) for m in memos] == [list(c.counter.memo.items()) for c in singles]
