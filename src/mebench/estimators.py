@@ -268,7 +268,7 @@ def estimate(
         # the pair's stream: each moving block's draws, blocks in raster order
         r = rng.random((moving.size, swarm_config.iterations, swarm_config.particles, 2, 2))
         column = moving % grid.cols
-        for col in np.unique(column).tolist():  # only columns that hold a moving block
+        for col in sorted(set(column.tolist())):  # only columns that hold a moving block
             rank = np.flatnonzero(column == col)
             blocks = moving[rank]
             left = vectors[blocks - 1] if col else None  # the column's one link to the field

@@ -193,9 +193,10 @@ def column_search(
     # a block with center (0, 0) tries it twice, which neither counts nor ranks differently
     seeds = np.stack((zero, center) if config.seed_predictor else (zero,), 1)
     lo, hi = pair.bounds(blocks)
+    rows_of = blocks[:, None]  # one block per row of displacements
 
     def rank(q):
-        return pair.rank(blocks[:, None], q)
+        return pair.rank(rows_of, q)
 
     return _swarm(rank, pair.keys, starts, seeds, lo, hi, config, r)
 
