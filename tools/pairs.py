@@ -1,0 +1,171 @@
+"""Interleaved parent/change runs of the benchmark, saved as BENCH_<label>.json.
+
+    python3 tools/pairs.py --parent HEAD~1 --change HEAD --pairs 10 --seed 7 --label wavefront
+    python3 tools/pairs.py --parent HEAD --change HEAD --pairs 1 --seconds 1 --label smoke
+
+--parent and --change each name a directory holding a checkout of the repo,
+or a git revision, which is exported with `git archive` into a temporary
+directory for the length of the run. For every workload (BENCHMARK.json's,
+unless --workloads names some) and every pair, both sides run
+
+    python3 benchmarks/run.py --workload W --seed S --seconds X --trace 0
+
+one after the other in their own checkout, the side that runs first
+alternating from pair to pair, so a drift in host load falls on both sides
+alike. The output holds every result line, and per workload and end-to-end
+metric each side's median and quartiles, the change's wins over the parent
+pair by pair (in the metric's better direction), and whether the gap of the
+medians exceeds the parent's interquartile range. The exit status is 1 when
+any run failed or reported incorrect outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def checkout(ref: str, scratch: Path) -> Path:
+    """The directory of `ref`: itself when it is one, else an export of the
+    git revision into `scratch`."""
+    if Path(ref).is_dir():
+        return Path(ref).resolve()
+    git = ["git", "archive", ref]
+    archive = subprocess.run(git, cwd=ROOT, capture_output=True, check=True).stdout
+    target = scratch / ref.replace("/", "_").replace("~", "_").replace("^", "_")
+    target.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target, filter="data")
+    return target
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The benchmark's result line for one run in `tree`, or None when it failed."""
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        print(proc.stderr[-2000:], file=sys.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(both: list[tuple[float, float]], better: str) -> dict | None:
+    """Both sides' spread over (parent, change) values of one metric, and
+    the change's wins over the parent pair by pair."""
+    if not both:
+        return None
+    sign = 1 if better == "higher" else -1
+    parent = spread([a for a, _ in both])
+    change = spread([b for _, b in both])
+    gap = (change["median"] - parent["median"]) * sign
+    return {
+        "better": better,
+        "pairs": len(both),
+        "parent": parent,
+        "change": change,
+        "change_wins": sum((b - a) * sign > 0 for a, b in both),
+        "gap_exceeds_parent_iqr": gap > parent["q3"] - parent["q1"],
+    }
+
+
+def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
+    """Per workload and end-to-end metric, compare() over the pairs in
+    which both sides ran and measured it."""
+    summary = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        pairs: dict[int, dict] = {}
+        for run in runs:
+            if run["workload"] == workload and run["result"] is not None:
+                pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        summary[workload] = {}
+        for metric, better in directions.items():
+            both = [
+                (p["parent"][metric]["value"], p["change"][metric]["value"])
+                for p in pairs.values()
+                if len(p) == 2
+            ]
+            summary[workload][metric] = compare([v for v in both if None not in v], better)
+    return summary
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    p.add_argument("--parent", required=True, help="checkout directory or git revision")
+    p.add_argument("--change", required=True, help="checkout directory or git revision")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=35.0)
+    p.add_argument("--workloads", help="comma-separated; default: every workload in BENCHMARK.json")
+    p.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
+    p.add_argument("--out", type=Path, help="output directory (default: the repo root)")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workloads:
+        workloads = args.workloads.split(",")
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    scratch = Path(tempfile.mkdtemp(prefix="mebench-pairs-"))
+    try:
+        trees = {side: checkout(getattr(args, side), scratch / side) for side in SIDES}
+        runs = []
+        for workload in workloads:
+            for pair in range(args.pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    result = run_once(trees[side], workload, args.seed, args.seconds)
+                    run = {"workload": workload, "pair": pair, "side": side, "first": side == order[0]}
+                    runs.append({**run, "result": result})
+                    value = None if result is None else result["metrics"]["pairs_per_s"]["value"]
+                    print(f"{workload} pair {pair} {side}: pairs_per_s {value}", file=sys.stderr)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    report = {
+        "label": args.label,
+        "command": f"python3 benchmarks/run.py --workload W --seed {args.seed} "
+        f"--seconds {args.seconds:g} --trace 0",
+        "parent": args.parent,
+        "change": args.change,
+        "pairs": args.pairs,
+        "host": {
+            "cpus": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        "summary": summarize(runs, directions),
+        "runs": runs,
+    }
+    out = (args.out or ROOT) / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}")
+    bad = [r for r in runs if r["result"] is None or r["result"]["correct"] is not True]
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
