@@ -10,12 +10,13 @@ searches themselves only search and return vectors; of the field they see
 only the left neighbor's vector (None in column 0), the one link between
 blocks. ES and ARPS search one block at a time through a memoized
 BlockCost; ES fills its whole window in one array op (BlockCost.box_sums)
-and counts every displacement in it. DS, whose blocks are independent,
-walks every moving block's diamond in lockstep, and the swarm runs one grid
-column at a time (pso.column_search), both scored through one PairCost per
-frame pair. Every memo counts a revisited displacement once and keeps its
-first-query order, and ties are broken uniformly by candidate_key
-(center-biased, then raster order).
+and counts every displacement in it, and ARPS scores its start set and then
+each unit rood one point at a time, in one loop. DS, whose blocks are
+independent, walks every moving block's diamond in lockstep, and the swarm
+runs one grid column at a time (pso.column_search), both scored through one
+PairCost per frame pair. Every memo counts a revisited displacement once
+and keeps its first-query order, and ties are broken uniformly by
+candidate_key (center-biased, then raster order).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
-from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, best_candidate, candidate_key
+from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, candidate_key
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
@@ -118,19 +119,6 @@ class MotionField:
         return int(self.static_flags.sum())
 
 
-def _around(center: MotionVector, pattern) -> list[MotionVector]:
-    return [(center[0] + ox, center[1] + oy) for ox, oy in pattern]
-
-
-def _walk(cost: BlockCost, center: MotionVector, pattern) -> MotionVector:
-    """Recenter `pattern` on its minimum until the minimum stays at the center."""
-    while True:
-        _, best = best_candidate(cost, _around(center, pattern))
-        if best == center:
-            return center
-        center = best
-
-
 def es_search(cost: BlockCost) -> MotionVector:
     """Exhaustive scan of every legal displacement in the cost's window: all
     sums in one op, then candidate_key over the displacements tied at the
@@ -182,13 +170,26 @@ def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> Motio
 
     The rood arm stretches to the predictor's largest component (2 when the
     block has no left neighbor); the predictor itself joins the initial
-    candidate set, and a unit-rood walk refines.
+    candidate set. Then the unit rood is recentered on its minimum until the
+    minimum stays at the center. Each round scores its legal points through
+    `cost` in order and keeps their candidate_key minimum.
     """
     arm = 2 if left_neighbor_mv is None else max(map(abs, left_neighbor_mv))
     candidates = [(0, 0), (arm, 0), (-arm, 0), (0, arm), (0, -arm)]
     if left_neighbor_mv is not None:
         candidates.append(left_neighbor_mv)
-    return _walk(cost, best_candidate(cost, candidates)[1], _SDSP)
+    center = None  # every round holds a legal point: (0, 0), then its center
+    while True:
+        best_key = best = None
+        for d in candidates:
+            if cost.legal(d):
+                k = candidate_key(cost(d), d)
+                if best is None or k < best_key:
+                    best_key, best = k, d
+        if best == center:
+            return center
+        center = best
+        candidates = [(center[0] + ox, center[1] + oy) for ox, oy in _SDSP]
 
 
 def estimate(

@@ -5,8 +5,9 @@ displacement at a time, and ES fills its whole window in one array op
 (box_sums), memo and evaluation count included. PairCost is the same memo
 for every block of one frame pair at once: the lockstep diamond search and
 the column-wavefront swarm score many (block, displacement) pairs in one
-gather, and CandidateKeys ranks them as int64 keys that order exactly as
-candidate_key does.
+gather. candidate_key is the one order on candidates: ES and ARPS compare
+its tuples, and CandidateKeys ranks the array paths' candidates as int64
+keys that order exactly as it does.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -147,20 +148,6 @@ def candidate_key(cost: int, d: MotionVector) -> tuple[int, int, int, int]:
     """Total order on search candidates: lowest cost first, then the
     center-biased tie-break (smaller |dx|+|dy|, then raster order of (dy, dx))."""
     return (cost, abs(d[0]) + abs(d[1]), d[1], d[0])
-
-
-def best_candidate(cost: BlockCost, candidates) -> tuple[tuple, MotionVector | None]:
-    """(key, displacement) of the candidate_key minimum over the legal
-    candidates, each scored through `cost` in the given order; the key is
-    (inf,), ranking after every candidate key, when none is legal."""
-    best_key: tuple = (float("inf"),)
-    best = None
-    for d in candidates:
-        if cost.legal(d):
-            k = candidate_key(cost(d), d)
-            if k < best_key:
-                best_key, best = k, d
-    return best_key, best
 
 
 INT64_MAX = np.iinfo(np.int64).max  # ranks after every candidate key: no candidate yet

@@ -1,0 +1,123 @@
+"""tools/pairs.py, the interleaved parent/change benchmark runner: its
+statistics (spread, compare, summarize) and its argument checks. No
+benchmark process is started; main runs against stubbed checkouts and runs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("mebench_tools_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def no_runs(pairs, monkeypatch):
+    """main with checkouts and benchmark runs stubbed out: every run returns
+    the same passing result line, and the runs made are recorded."""
+    made = []
+
+    def run_once(tree, workload, seed, seconds):
+        made.append((tree, workload))
+        metrics = {"pairs_per_s": 50.0, "setup_s": 0.3, "peak_rss_mb": 60.0, "ok_frac": 1.0}
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    monkeypatch.setattr(pairs, "checkout", lambda ref, scratch: Path(ref))
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    return made
+
+
+def test_spread_of_one_value(pairs):
+    assert pairs.spread([4.5]) == {"median": 4.5, "q1": 4.5, "q3": 4.5}
+
+
+def test_spread_of_four_values(pairs):
+    assert pairs.spread([10.0, 11.0, 12.0, 13.0]) == {"median": 11.5, "q1": 10.75, "q3": 12.25}
+
+
+def test_compare_counts_wins_in_the_better_direction(pairs):
+    both = [(1.0, 2.0), (2.0, 1.0), (4.0, 3.0), (3.0, 3.0)]  # the last pair ties
+    higher = pairs.compare(both, "higher")
+    lower = pairs.compare(both, "lower")
+    assert (higher["change_wins"], lower["change_wins"]) == (1, 2)
+    assert higher["pairs"] == lower["pairs"] == 4
+    assert higher["better"] == "higher" and lower["better"] == "lower"
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_a_tie_wins_for_neither_side(pairs, better):
+    ties = [(3.0, 3.0), (5.0, 5.0)]
+    assert pairs.compare(ties, better)["change_wins"] == 0
+    swapped = [(b, a) for a, b in ties]
+    assert pairs.compare(swapped, better)["change_wins"] == 0
+
+
+def test_compare_of_nothing_is_none(pairs):
+    assert pairs.compare([], "higher") is None
+
+
+@pytest.mark.parametrize(
+    "change, better, exceeds",
+    [
+        ([13.0, 13.5, 14.0, 14.5], "higher", True),   # gap 2.25 over an IQR of 1.5
+        ([13.0, 13.5, 14.0, 14.5], "lower", False),   # the same gap, the wrong way
+        ([8.0, 8.5, 9.0, 9.5], "lower", True),
+        ([12.0, 12.5, 13.0, 13.5], "higher", False),  # gap 1.25: inside the IQR
+        ([12.0, 13.0, 13.0, 14.0], "higher", False),  # gap 1.5 equals the IQR
+    ],
+)
+def test_compare_sets_gap_exceeds_parent_iqr(pairs, change, better, exceeds):
+    parent = [10.0, 11.0, 12.0, 13.0]  # median 11.5, quartiles 10.75 and 12.25
+    result = pairs.compare(list(zip(parent, change)), better)
+    assert result["parent"] == {"median": 11.5, "q1": 10.75, "q3": 12.25}
+    assert result["gap_exceeds_parent_iqr"] is exceeds
+
+
+def _run(pair, side, value):
+    result = None if value is None else {"metrics": {"pairs_per_s": {"value": value}}}
+    return {"workload": "w", "pair": pair, "side": side, "result": result}
+
+
+def test_summarize_drops_a_pair_with_a_failed_side(pairs):
+    runs = [
+        _run(0, "parent", 10.0), _run(0, "change", 12.0),
+        _run(1, "change", 11.0), _run(1, "parent", None),  # the parent's run failed
+        _run(2, "parent", None), _run(2, "change", None),
+        _run(3, "change", 9.0), _run(3, "parent", 10.0),
+    ]
+    summary = pairs.summarize(runs, {"pairs_per_s": "higher"})
+    result = summary["w"]["pairs_per_s"]
+    assert result["pairs"] == 2
+    assert result["parent"]["median"] == 10.0
+    assert result["change"]["median"] == 10.5
+    assert result["change_wins"] == 1
+
+
+@pytest.mark.parametrize("count", [3, 5, 11])
+def test_odd_pair_counts_are_a_usage_error(pairs, no_runs, tmp_path, capsys, count):
+    argv = ["--parent", "a", "--change", "b", "--pairs", str(count), "--label", "t", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        pairs.main(argv)
+    assert info.value.code == 2
+    assert f"--pairs must be 1 or even, got {count}" in capsys.readouterr().err
+    assert no_runs == []
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_one_pair_and_even_pair_counts_run(pairs, no_runs, tmp_path, count):
+    argv = ["--parent", "a", "--change", "b", "--pairs", str(count), "--label", "t"]
+    argv += ["--workloads", "w", "--out", str(tmp_path)]
+    assert pairs.main(argv) == 0
+    sides = [tree.name for tree, _ in no_runs]
+    assert sides == ["a", "b", "b", "a"][: 2 * count]  # the side that runs first alternates
+    assert (tmp_path / "BENCH_t.json").is_file()

@@ -1,8 +1,8 @@
 """Differential properties of the array fast paths against small scalar
 references: ES's one-op window (BlockCost.box_sums) against a raster scan of
-single BlockCost queries, DS and ARPS inside `estimate` against plain
-pattern walks (same vectors, same memo order), the whole-swarm array update
-of pso_match against the per-particle, per-dimension loop it replaced (alone,
+single BlockCost queries, alone and inside `estimate`, and DS and ARPS inside
+`estimate` against plain pattern walks (same vectors, same memo order), the
+whole-swarm array update of pso_match against the per-particle, per-dimension loop it replaced (alone,
 and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
@@ -236,7 +236,7 @@ def test_es_equals_scalar_reference(pair, p, dtype, data):
 @settings(max_examples=150, deadline=None)
 @given(
     pair=frame_pairs(),
-    algorithm=st.sampled_from(["ds", "arps"]),
+    algorithm=st.sampled_from(["es", "ds", "arps"]),
     p=st.integers(1, 8),
     threshold=st.one_of(st.just(0.0), st.floats(0, 64)),
     arps_raw_threshold=st.booleans(),
@@ -267,7 +267,11 @@ def test_pattern_searches_equal_scalar_references(
         seeded = {(0, 0): sad_sum(tgt[y : y + bs, x : x + bs], anc[y : y + bs, x : x + bs])}
         counter = EvalCounter(seeded if prejudged else {})
         cost = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
-        if algorithm == "ds":
+        if algorithm == "es":  # (0, 0) first, then the window in raster order
+            dx_min, dx_max, dy_min, dy_max = cost.bounds
+            window = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
+            expected = reference_min(cost, [(0, 0), *window])
+        elif algorithm == "ds":
             expected = reference_ds(cost)
         else:
             expected = reference_arps(cost, None if col == 0 else field.vector(row, col - 1))

@@ -12,7 +12,8 @@ unless --workloads names some) and every pair, both sides run
 
 one after the other in their own checkout, the side that runs first
 alternating from pair to pair, so a drift in host load falls on both sides
-alike. The output holds every result line, and per workload and end-to-end
+alike. --pairs is 1 (a smoke run) or even, so each side runs first equally
+often. The output holds every result line, and per workload and end-to-end
 metric each side's median and quartiles, the change's wins over the parent
 pair by pair (in the metric's better direction), and whether the gap of the
 medians exceeds the parent's interquartile range. The exit status is 1 when
@@ -123,6 +124,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    if args.pairs > 1 and args.pairs % 2:
+        # each side must run first equally often: the first run reads high
+        p.error(f"--pairs must be 1 or even, got {args.pairs}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
