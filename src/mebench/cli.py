@@ -3,7 +3,8 @@
   mebench run  --input clip.y4m --algos ds,arps,pso-zmp --out results/
   mebench psnr --a ref.y4m --b recon.y4m
 
-Exit codes: 0 ok, 1 usage error, 2 I/O error, 3 malformed input data.
+Exit codes: 0 ok, 1 usage error (out of memory included), 2 I/O error, 3
+malformed input data.
 """
 
 from __future__ import annotations
@@ -147,4 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"mebench: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # settings too large for this machine, e.g. --particles
+        print(f"mebench: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,16 +7,16 @@ search: every block's co-located raw sum against EstimatorConfig.static_cut,
 the one place the threshold is converted to raw-sum units. That sum is each
 block's first memo entry, one evaluation; static blocks stop there. The
 searches themselves only search and return vectors; of the field they see
-only the left neighbor's vector (None in column 0), the one link between
-blocks. ES and ARPS search one block at a time through a memoized
-BlockCost; ES fills its whole window in one array op (BlockCost.box_sums)
-and counts every displacement in it, and ARPS scores its start set and then
-each unit rood one point at a time, in one loop. DS, whose blocks are
-independent, walks every moving block's diamond in lockstep, and the swarm
-runs one grid column at a time (pso.column_search), both scored through one
-PairCost per frame pair. Every memo counts a revisited displacement once
-and keeps its first-query order, and ties are broken uniformly by
-candidate_key (center-biased, then raster order).
+only the left neighbor's vector (in column 0, None for ARPS and (0, 0) for
+the swarm), the one link between blocks. ES and ARPS search one block at a
+time through a memoized BlockCost; ES fills its whole window in one array op
+(BlockCost.box_sums) and counts every displacement in it, and ARPS scores its
+start set and then each unit rood one point at a time, in one loop. DS,
+whose blocks are independent, walks every moving block's diamond in
+lockstep, and the swarm runs one grid column at a time (pso.column_search),
+both scored through one PairCost per frame pair. Every memo counts a
+revisited displacement once and keeps its first-query order, and ties are
+broken uniformly by candidate_key (center-biased, then raster order).
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def estimate(
     strictly under the algorithm's static cut is recorded as (0, 0) at that
     one evaluation, with no search; every other block is searched. ES/DS/ARPS
     candidates stay inside the search window; the swarm is bounded by frame
-    legality alone.
+    legality alone. Every branch addresses a block by its raster index alone.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -240,18 +240,18 @@ def estimate(
             {(0, 0): s} for s in colocated.tolist()
         ]
     moving = np.flatnonzero(~field.static_flags.ravel())
-    vectors = field.vectors.reshape(-1, 2)
+    vectors, evals = field.vectors.reshape(-1, 2), field.evals_per_block.reshape(-1)  # by raster index
 
     if algorithm in ("es", "arps"):
         for index in moving.tolist():
-            row, col = divmod(index, grid.cols)
             counter = EvalCounter({} if colocated is None else {(0, 0): int(colocated[index])})
             cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, (-p, p, -p, p))
             if algorithm == "es":
                 vectors[index] = es_search(cost)
             else:  # a block's one link to the field: its left neighbor's vector
-                vectors[index] = arps_search(cost, field.vector(row, col - 1) if col else None)
-            field.evals_per_block[row, col] = counter.evals
+                left = tuple(vectors[index - 1].tolist()) if index % grid.cols else None
+                vectors[index] = arps_search(cost, left)
+            evals[index] = counter.evals
             if keep_memos:
                 field.memos[index] = counter.memo
         return field
@@ -272,10 +272,11 @@ def estimate(
         for col in sorted(set(column.tolist())):  # only columns that hold a moving block
             rank = np.flatnonzero(column == col)
             blocks = moving[rank]
-            left = vectors[blocks - 1] if col else None  # the column's one link to the field
+            # the column's one link to the field, (0, 0) in column 0
+            left = vectors[blocks - 1] if col else np.zeros_like(vectors[blocks])
             # looked up at call time, so a wrapper around the module attribute sees every column
             vectors[blocks] = swarm.column_search(pair, blocks, left, swarm_config, r[rank])
-    field.evals_per_block.ravel()[moving] = pair.evals()[moving]
+    evals[moving] = pair.evals()[moving]
     if keep_memos:
         pair.fill(field.memos)
     return field

@@ -33,8 +33,6 @@ import numpy as np
 from .blocks import MotionVector
 from .metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost
 
-PATTERN_KINDS = ("A", "B", "C", "D")
-
 # Particle seeding offsets, in particle-index order. A is the unit rood plus
 # its diagonal copy (8 directions); B/C sit in the only legal quadrant of the
 # top-left / bottom-left corner blocks; D is right-half biased for the rest
@@ -45,6 +43,8 @@ _PATTERNS: dict[str, tuple[MotionVector, ...]] = {
     "C": ((0, -1), (1, 0), (1, -1), (2, 0), (0, -2), (2, -1), (1, -2), (2, -2)),
     "D": ((0, 1), (0, -1), (0, 2), (0, -2), (1, 0), (2, 0), (1, 1), (1, -1)),
 }
+PATTERN_KINDS = tuple(_PATTERNS)
+_STARTS = np.array(list(_PATTERNS.values()), dtype=np.int64)  # (kinds, 8, 2), PATTERN_KINDS order
 
 
 @dataclass(frozen=True)
@@ -169,26 +169,23 @@ def _swarm(rank, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, 
 
 
 def column_search(
-    pair: PairCost, blocks: np.ndarray, left: np.ndarray | None, config: PsoConfig, r: np.ndarray
+    pair: PairCost, blocks: np.ndarray, left: np.ndarray, config: PsoConfig, r: np.ndarray
 ) -> np.ndarray:
     """The swarm on the moving blocks of one grid column at once, scored and
     memoized through the frame pair's PairCost; their vectors, (k, 2).
 
     blocks are raster indices, top to bottom; left holds their left
-    neighbors' vectors, (k, 2), or is None in column 0. A block off the
-    leftmost column recenters pattern A on its left neighbor's vector and (by
-    default) tries that prediction as a starting global best; down the
-    leftmost column B, C and D start at (0, 0). The co-located point always
-    joins the initial candidates, so no output scores worse than staying
-    put. r is (k, iterations, particles, 2, 2), each block's uniforms.
+    neighbors' vectors, (k, 2), zeros in column 0. Each block starts from the
+    pattern select_pattern picks for its grid position, recentered on its
+    left neighbor's vector, and (by default) tries that vector as a starting
+    global best. The co-located point always joins the initial candidates,
+    so no output scores worse than staying put. r is (k, iterations,
+    particles, 2, 2), each block's uniforms.
     """
-    if left is None:
-        rows = (blocks // pair.grid.cols).tolist()
-        starts = np.array([_PATTERNS[select_pattern(row, 0, pair.grid.rows)] for row in rows])
-        center = np.zeros((len(blocks), 2), dtype=np.int64)
-    else:
-        center = left.astype(np.int64)
-        starts = center[:, None] + np.array(_PATTERNS["A"])
+    grid = pair.grid
+    kinds = [PATTERN_KINDS.index(select_pattern(*divmod(b, grid.cols), grid.rows)) for b in blocks.tolist()]
+    center = left.astype(np.int64)
+    starts = center[:, None] + _STARTS[kinds]
     zero = np.zeros_like(center)
     # a block with center (0, 0) tries it twice, which neither counts nor ranks differently
     seeds = np.stack((zero, center) if config.seed_predictor else (zero,), 1)

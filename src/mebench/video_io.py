@@ -95,18 +95,16 @@ def _check_max_frames(max_frames: int | None) -> None:
 _READ_CHUNK = 1 << 24
 
 
-def _read_payload(f, size: int) -> bytes | bytearray:
-    """Up to `size` bytes from f, fewer only at end of file."""
-    payload = f.read(min(size, _READ_CHUNK))
-    if len(payload) == size or len(payload) < _READ_CHUNK:
-        return payload
-    buf = bytearray(payload)
-    while len(buf) < size:
-        part = f.read(min(size - len(buf), _READ_CHUNK))
+def _read_payload(f, size: int) -> bytes:
+    """Up to `size` bytes from f, fewer only at end of file; one piece comes back uncopied."""
+    parts = []
+    while size:
+        part = f.read(min(size, _READ_CHUNK))
         if not part:
             break
-        buf += part
-    return buf
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
 
 
 def _luma_frame(payload: bytes, width: int, height: int) -> Frame:

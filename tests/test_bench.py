@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mebench import BlockGrid, EstimatorConfig, MotionField
+from mebench import BlockGrid, EstimatorConfig, MotionField, bench
 from mebench.bench import (
     FrameRow,
     RunSpec,
@@ -352,6 +352,16 @@ def test_cli_usage_error_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing --input
     assert exc.value.code == 1
+
+
+def test_cli_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.44 TiB")
+
+    monkeypatch.setattr(bench, "estimate", refuse)
+    path = make_clip(tmp_path, n_frames=2)
+    assert main(["run", "--input", str(path), "--algos", "es", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "mebench: out of memory: Unable to allocate 1.44 TiB\n"
 
 
 def test_cli_raw_needs_dimensions(tmp_path):

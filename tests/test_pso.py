@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_init_pattern_cardinality_and_quadrants():
 
 
 def test_init_pattern_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("expected one of ('A', 'B', 'C', 'D')")):
         init_pattern("E")
 
 
