@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .video_io import Frame
 
 # Integer pixel displacement (dx, dy).
@@ -48,6 +50,12 @@ class BlockGrid:
     @property
     def n_blocks(self) -> int:
         return self.rows * self.cols
+
+    def tiles(self, plane: np.ndarray) -> np.ndarray:
+        """The tiled region of a frame-sized array as a (rows, cols, side, side)
+        view: [r, c] is block r * cols + c, and writes through it reach the array."""
+        bs, rows, cols = self.block_size, self.rows, self.cols
+        return plane[: rows * bs, : cols * bs].reshape(rows, bs, cols, bs).swapaxes(1, 2)
 
 
 def block_origin(grid: BlockGrid, index: int) -> tuple[int, int]:

@@ -46,20 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument(
         "--chroma",
         choices=("420", "400"),
-        default="420",
+        default=RunSpec.chroma,
         help="chroma layout of raw yuv input (400 = luma-only)",
     )
     inputs.add_argument("--frames", type=int, help="cap on frames read (>= 1)")
 
     p_run = sub.add_parser("run", parents=[inputs], help="benchmark matchers over a sequence")
     p_run.add_argument("--input", required=True, help="video file (y4m or raw planar yuv)")
-    p_run.add_argument(
-        "--algos",
-        default="es,ds,arps,pso-zmp",
-        help=f"comma-separated subset of {','.join(ALGORITHMS)}",
-    )
-    p_run.add_argument("--block", type=int, default=16, help="macroblock size (default 16)")
-    p_run.add_argument("--p", type=int, default=7, help="search window for es/ds/arps (default 7)")
+    p_run.add_argument("--algos", help="comma-separated subset of %(default)s")
+    p_run.add_argument("--block", type=int, help="macroblock size (default %(default)s)")
+    p_run.add_argument("--p", type=int, help="search window for es/ds/arps (default %(default)s)")
     p_run.add_argument(
         "--zmp-threshold",
         type=float,
@@ -71,18 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="make arps compare the threshold against sum/side instead of the raw sum",
     )
-    p_run.add_argument("--particles", type=int, default=8)
-    p_run.add_argument("--iters", type=int, default=5)
-    p_run.add_argument("--vmax", type=float, default=5.0)
+    p_run.add_argument("--particles", type=int)
+    p_run.add_argument("--iters", type=int)
+    p_run.add_argument("--vmax", type=float)
     p_run.add_argument(
         "--no-seed-predictor",
         action="store_true",
         help="use the predicted vector only to recenter the pattern, not as a candidate",
     )
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--out", default=".", help="output directory for CSVs")
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--out", help="output directory for CSVs")
     p_run.add_argument("--dump-mv", action="store_true", help="write per-pair .mvf dumps")
     p_run.add_argument("--dump-recon", action="store_true", help="write reconstructed PGMs")
+    # each default is read from the value that owns it, one line per owner
+    p_run.set_defaults(algos=",".join(ALGORITHMS), seed=RunSpec.seed, out=RunSpec.out_dir)
+    p_run.set_defaults(block=EstimatorConfig.block_size, p=EstimatorConfig.search_param)
+    p_run.set_defaults(particles=PsoConfig.particles, iters=PsoConfig.iterations, vmax=PsoConfig.v_max)
 
     p_psnr = sub.add_parser("psnr", parents=[inputs], help="per-frame PSNR between two sequences")
     p_psnr.add_argument("--a", required=True, help="reference sequence")

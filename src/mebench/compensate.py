@@ -37,10 +37,6 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
         raise ValueError(
             f"block ({col},{row}) carries illegal vector ({dx[row, col]},{dy[row, col]})"
         )
-    # (rows, cols, bs, bs) source blocks, tiled back into (rows*bs, cols*bs)
-    blocks = sliding_window_view(anchor.luma, (bs, bs))[ys + dy, xs + dx]
     out = anchor.luma.copy()  # margins keep the co-located anchor pixels
-    out[: grid.rows * bs, : grid.cols * bs] = blocks.transpose(0, 2, 1, 3).reshape(
-        grid.rows * bs, grid.cols * bs
-    )
+    grid.tiles(out)[...] = sliding_window_view(anchor.luma, (bs, bs))[ys + dy, xs + dx]
     return CompensatedFrame(Frame(out))

@@ -229,9 +229,7 @@ def estimate(
     if cut is not None:
         # Every block's co-located raw sum in one op over the tiled region. It
         # is each memo's first entry, as it is every matcher's first query.
-        bs, rows, cols = config.block_size, grid.rows, grid.cols
-        diff = np.abs(anc[: rows * bs, : cols * bs] - tgt[: rows * bs, : cols * bs])
-        sums = diff.reshape(rows, bs, cols, bs).sum(axis=(1, 3))
+        sums = np.abs(grid.tiles(anc) - grid.tiles(tgt)).sum(axis=(2, 3))
         field.static_flags[...] = sums < cut
         field.evals_per_block[...] = 1
         colocated = sums.ravel()

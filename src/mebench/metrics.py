@@ -213,8 +213,7 @@ class PairCost:
         self.grid = grid
         self.keys = CandidateKeys(self.width, self.height, bs)
         self._windows = sliding_window_view(anchor, (bs, bs))
-        tiles = target[: rows * bs, : cols * bs].reshape(rows, bs, cols, bs)
-        self._tiles = tiles.swapaxes(1, 2).reshape(rows * cols, bs, bs)
+        self._tiles = grid.tiles(target).reshape(rows * cols, bs, bs)
         index = np.arange(rows * cols)
         self.x, self.y = index % cols * bs, index // cols * bs
         self._corner = self.y * self.width + self.x
@@ -263,17 +262,13 @@ class PairCost:
             memos[block][(col - x[block], row - y[block])] = cost
 
 
-def frame_mse(a: Frame, b: Frame) -> float:
+def frame_psnr(a: Frame, b: Frame) -> float:
+    """PSNR between two frames in dB: 10*log10(255^2 / MSE), capped when MSE=0."""
     if a.luma.shape != b.luma.shape:
         raise ValueError(f"frame shapes differ: {a.luma.shape} vs {b.luma.shape}")
     # exact in float64; at QCIF each int32 temporary stays under glibc's 128 KiB mmap threshold
     diff = a.luma.astype(np.int32) - b.luma.astype(np.int32)
-    return float(np.mean(diff * diff))
-
-
-def frame_psnr(a: Frame, b: Frame) -> float:
-    """PSNR between two frames in dB: 10*log10(255^2 / MSE), capped when MSE=0."""
-    mse = frame_mse(a, b)
+    mse = float(np.mean(diff * diff))
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(float(10.0 * np.log10(255.0 * 255.0 / mse)), PSNR_CAP_DB)

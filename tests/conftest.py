@@ -1,4 +1,4 @@
-"""Shared synthetic-data helpers.
+"""Shared synthetic-data helpers, and load_script for the repo's scripts.
 
 shifted_pair builds an exact global translation with no wrap-around: the
 target block at (x, y) equals the anchor pixels at (x+dx, y+dy), so a correct
@@ -6,6 +6,10 @@ matcher returns exactly (dx, dy) wherever that displacement is legal.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,22 @@ def write_y4m(path, lumas, chroma_value: int = 128, header: bytes | None = None)
         parts.append(np.asarray(y, dtype=np.uint8).tobytes())
         parts.append(chroma)
     path.write_bytes(b"".join(parts))
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_script(relative: str, name: str, monkeypatch):
+    """Import the repo script at `relative` (e.g. "benchmarks/clips.py") as
+    module `name`. The module sits in sys.modules while it runs, since a
+    dataclass looks its module up there, and until monkeypatch undoes it; no
+    bytecode is written next to the script."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, REPO / relative)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

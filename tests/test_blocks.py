@@ -84,3 +84,23 @@ def test_frame_smaller_than_block_names_both_sizes():
 def test_for_frame_rejects_block_size_before_dividing(block_size):
     with pytest.raises(ValueError, match=f"block_size must be >= 2, got {block_size}"):
         BlockGrid.for_frame(QCIF, block_size)
+
+
+def test_tiles_is_a_view_of_each_block_that_leaves_the_remainder_alone():
+    # 60x44 with side 8: a 4-pixel remainder on the right and at the bottom
+    plane = np.random.default_rng(3).integers(0, 256, (44, 60), dtype=np.uint8)
+    grid = BlockGrid.for_frame(Frame(plane), 8)
+    tiles = grid.tiles(plane)
+    assert tiles.shape == (grid.rows, grid.cols, 8, 8) == (5, 7, 8, 8)
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            x, y = block_origin(grid, r * grid.cols + c)
+            assert (tiles[r, c] == plane[y : y + 8, x : x + 8]).all()
+    before = plane.copy()
+    tiles[2, 5] = 0
+    tiles[4, 6] = 255
+    expected = before.copy()
+    expected[16:24, 40:48] = 0
+    expected[32:40, 48:56] = 255
+    assert (plane == expected).all()  # the writes landed, and only there
+    assert (plane[40:, :] == before[40:, :]).all() and (plane[:, 56:] == before[:, 56:]).all()

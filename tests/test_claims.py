@@ -6,23 +6,17 @@ real clips."""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
+import numpy as np
 
-from mebench import EstimatorConfig, Frame, estimate
+from mebench import EstimatorConfig, Frame, compensate, estimate, frame_psnr
 
-CLIPS = Path(__file__).resolve().parent.parent / "benchmarks" / "clips.py"
+from conftest import load_script
+
 PAIRS = 30  # the first 31 frames
 
 
 def _load_clips(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as it is
-    spec = importlib.util.spec_from_file_location("mebench_bench_clips", CLIPS)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks the module up here
-    spec.loader.exec_module(module)
-    return module
+    return load_script("benchmarks/clips.py", "mebench_bench_clips", monkeypatch)
 
 
 def test_pso_zmp_needs_far_fewer_evaluations_than_ds_on_a_near_static_clip(monkeypatch):
@@ -39,3 +33,34 @@ def test_pso_zmp_needs_far_fewer_evaluations_than_ds_on_a_near_static_clip(monke
         for algorithm in ("ds", "pso-zmp")
     }
     assert total["ds"] >= 5 * total["pso-zmp"], total
+
+
+def _psnr_and_evals(frames, algorithm, config):
+    """Mean PSNR of the compensated targets and evaluations per block, over
+    the pairs of `frames`, each pair seeded as `mebench run --seed 0` seeds it."""
+    psnr, evals = [], 0
+    for k in range(1, len(frames)):
+        field = estimate(algorithm, frames[k - 1], frames[k], config, seed=k)
+        psnr.append(frame_psnr(frames[k], compensate(frames[k - 1], field).frame))
+        evals += field.total_evals
+    return float(np.mean(psnr)), evals / ((len(frames) - 1) * field.grid.n_blocks)
+
+
+def test_pso_zmp_loses_several_db_to_ds_on_a_pan_only_through_prejudgment(monkeypatch):
+    # Paper: pso-zmp's PSNR is several dB lower than DS's on dense, complex
+    # motion. Proxy, on the seed-0 pan clip of the qcif-pan-* workloads: with
+    # no block static (threshold 8) the swarm stays within 1 dB of DS
+    # (measured 30.39 against 30.78 dB); at threshold 384 prejudgment holds
+    # 86.7% of the panning blocks at (0, 0), and pso-zmp falls at least 3 dB
+    # below DS (measured 23.66 against 30.78 dB) while DS makes at least 3x
+    # its evaluations (16.587 against 3.164 per block). No claim about
+    # low-motion content is asserted: there the gap moves with the seed.
+    frames = [Frame(luma) for luma in _load_clips(monkeypatch).pan_frames(0)[: PAIRS + 1]]
+    ds_psnr, ds_evals = _psnr_and_evals(frames, "ds", EstimatorConfig())
+    searched_psnr, _ = _psnr_and_evals(frames, "pso-zmp", EstimatorConfig(zmp_threshold=8))
+    assert ds_psnr - searched_psnr <= 1.0, (ds_psnr, searched_psnr)
+    prejudged_psnr, prejudged_evals = _psnr_and_evals(
+        frames, "pso-zmp", EstimatorConfig(zmp_threshold=384)
+    )
+    assert ds_psnr - prejudged_psnr >= 3.0, (ds_psnr, prejudged_psnr)
+    assert ds_evals >= 3 * prejudged_evals, (ds_evals, prejudged_evals)

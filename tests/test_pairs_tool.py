@@ -4,20 +4,17 @@ benchmark process is started; main runs against stubbed checkouts and runs."""
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+from conftest import load_script
 
 
 @pytest.fixture(scope="module")
 def pairs():
-    spec = importlib.util.spec_from_file_location("mebench_tools_pairs", PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        yield load_script("tools/pairs.py", "mebench_tools_pairs", monkeypatch)
 
 
 @pytest.fixture

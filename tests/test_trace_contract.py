@@ -9,9 +9,6 @@ oracle, and the package's `__all__` to names that exist."""
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,23 +17,14 @@ import mebench
 from mebench import EstimatorConfig, Frame, block_origin, estimate, pso
 from mebench.metrics import BlockCost
 
-from conftest import shifted_pair, smooth_texture
-
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("mebench_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script, shifted_pair, smooth_texture
 
 
 def test_every_wrapped_name_exists(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as it is
+    tracing = load_script("benchmarks/tracing.py", "mebench_bench_tracing", monkeypatch)
     # resolved as Tracer.install does: through each owner's own __dict__
     missing = []
-    for span_name, target in _load_tracing().WRAPS:
+    for span_name, target in tracing.WRAPS:
         module, *path = target.split(".")
         owner = importlib.import_module(f"mebench.{module}")
         for part in path:
