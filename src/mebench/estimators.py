@@ -220,7 +220,9 @@ def estimate(
         )
     config = config or EstimatorConfig()
     cut = config.static_cut(algorithm)
-    p = config.search_param
+    # ES/DS/ARPS reach |dx|, |dy| <= p; no frame-legal component reaches the larger side, so no box moves
+    p = min(config.search_param, max(anchor.width, anchor.height))
+    window = (-p, p, -p, p)
     grid = BlockGrid.for_frame(anchor, config.block_size)
     field = MotionField.empty(grid)
     anc = anchor.luma.astype(np.int16)
@@ -243,7 +245,7 @@ def estimate(
     if algorithm in ("es", "arps"):
         for index in moving.tolist():
             counter = EvalCounter({} if colocated is None else {(0, 0): int(colocated[index])})
-            cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, (-p, p, -p, p))
+            cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
             if algorithm == "es":
                 vectors[index] = es_search(cost)
             else:  # a block's one link to the field: its left neighbor's vector

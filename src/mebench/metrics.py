@@ -58,9 +58,9 @@ class BlockCost:
     anchor/target are full-frame signed integer arrays (int16 holds every
     difference of two 8-bit pixels); origin is the block's top-left
     corner in the target frame. Candidate blocks are read from the anchor at
-    origin + d, which must stay inside the frame (frame_bounds, from
-    displacement_bounds). An optional window (dx_min, dx_max, dy_min, dy_max)
-    further restricts `bounds`, the box that `legal` and `clamp` use.
+    origin + d. `bounds`, the one box of legal queries, is the frame's
+    (displacement_bounds) cut to an optional window (dx_min, dx_max, dy_min,
+    dy_max); `legal` and `box_sums` read it, and a query outside it raises.
     """
 
     def __init__(
@@ -78,8 +78,7 @@ class BlockCost:
         self.tgt = target[self.y : self.y + block_size, self.x : self.x + block_size]
         self.counter = counter
         h, w = anchor.shape
-        self.frame_bounds = displacement_bounds(w, h, origin, block_size)
-        dx_min, dx_max, dy_min, dy_max = self.frame_bounds
+        dx_min, dx_max, dy_min, dy_max = displacement_bounds(w, h, origin, block_size)
         if window is not None:
             dx_min, dx_max = max(dx_min, window[0]), min(dx_max, window[1])
             dy_min, dy_max = max(dy_min, window[2]), min(dy_max, window[3])
@@ -89,17 +88,14 @@ class BlockCost:
         dx_min, dx_max, dy_min, dy_max = self.bounds
         return dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max
 
-    def clamp(self, d: MotionVector) -> MotionVector:
-        dx_min, dx_max, dy_min, dy_max = self.bounds
-        return (min(max(d[0], dx_min), dx_max), min(max(d[1], dy_min), dy_max))
-
     def __call__(self, d: MotionVector) -> int:
         c = self.counter.memo.get(d)
         if c is None:
-            dx_min, dx_max, dy_min, dy_max = self.frame_bounds
+            dx_min, dx_max, dy_min, dy_max = self.bounds
             if not (dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max):
                 raise ValueError(
-                    f"displacement {d} leaves the frame for block at ({self.x},{self.y})"
+                    f"displacement {d} leaves the frame or the window of block at ({self.x},{self.y}), "
+                    f"box {self.bounds}"
                 )
             bs = self.block_size
             cx, cy = self.x + d[0], self.y + d[1]

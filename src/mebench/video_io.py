@@ -157,7 +157,7 @@ def load_y4m(path: str | Path, max_frames: int | None = None) -> Sequence:
                 break
             if not marker.endswith(b"\n"):
                 raise VideoFormatError(f"frame {len(frames)}: unterminated FRAME marker")
-            if not marker.startswith(b"FRAME"):
+            if marker[:6] not in (b"FRAME ", b"FRAME\n"):
                 raise VideoFormatError(
                     f"frame {len(frames)}: expected FRAME marker, got {marker[:-1][:16]!r}"
                 )

@@ -318,6 +318,20 @@ def test_cli_search_param_below_one_text(tmp_path, capsys):
     assert capsys.readouterr().err == "mebench: search_param must be >= 1, got 0\n"
 
 
+def test_cli_search_param_beyond_the_frame_runs(tmp_path, capsys):
+    # a reach past the frame's larger side (64 here) moves no box: the same
+    # outputs as at 64, and meta.json still echoes the configured value
+    path = make_clip(tmp_path, n_frames=2)
+    huge = 100000000000000000000
+    for p in (huge, 64):
+        argv = ["run", "--input", str(path), "--algos", "es,ds,arps", "--zmp-threshold", "8"]
+        assert main(argv + ["--p", str(p), "--out", str(tmp_path / str(p))]) == 0
+    assert capsys.readouterr().err == ""
+    for fname in ("per_frame.csv", "summary.csv", "gains.csv"):
+        assert (tmp_path / str(huge) / fname).read_bytes() == (tmp_path / "64" / fname).read_bytes()
+    assert json.loads((tmp_path / str(huge) / "meta.json").read_text())["search_param"] == huge
+
+
 def test_cli_run_end_to_end(tmp_path, capsys):
     path = make_clip(tmp_path, n_frames=3)
     out = tmp_path / "cli_out"

@@ -254,6 +254,20 @@ def test_all_field_vectors_are_legal():
             assert 0 <= y + dy <= anchor.height - 16, (algo, index)
 
 
+@pytest.mark.parametrize("algo", ["es", "ds", "arps"])
+def test_search_param_beyond_the_frame_moves_no_box(algo):
+    # no frame-legal component reaches the frame's larger side, so any
+    # larger reach searches the same boxes at the same cost
+    anchor, target = shifted_pair(48, 64, (3, -2), seed=21)
+    huge, edge = (
+        estimate(algo, anchor, target, EstimatorConfig(search_param=p, zmp_threshold=8), keep_memos=True)
+        for p in (2**70, max(anchor.width, anchor.height))
+    )
+    assert (huge.vectors == edge.vectors).all()
+    assert (huge.evals_per_block == edge.evals_per_block).all()
+    assert [list(m.items()) for m in huge.memos] == [list(m.items()) for m in edge.memos]
+
+
 def test_estimate_deterministic():
     anchor, target = shifted_pair(64, 80, (1, -1), seed=18)
     cfg = EstimatorConfig(zmp_threshold=128)

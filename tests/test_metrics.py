@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mebench import EvalCounter, Frame, Sequence, frame_psnr, psnr, sad_at, sad_sum
+from mebench.metrics import BlockCost
 
 from conftest import noise_frame, shifted_pair
 
@@ -80,6 +81,19 @@ def test_sad_at_rejects_unclamped_displacement():
     anchor, target = shifted_pair(48, 64, (1, 1), seed=13)
     with pytest.raises(ValueError, match="leaves the frame"):
         sad_at(EvalCounter(), anchor, target, (0, 0), (-1, 0), 16)
+
+
+def test_block_cost_refuses_a_frame_legal_query_outside_its_window():
+    anchor, target = shifted_pair(48, 64, (1, 1), seed=14)
+    counter = EvalCounter()
+    anc, tgt = anchor.luma.astype(np.int16), target.luma.astype(np.int16)
+    cost = BlockCost(anc, tgt, (16, 16), 16, counter, (-1, 1, -1, 1))
+    with pytest.raises(ValueError) as info:
+        cost((2, 0))  # inside the frame, outside the window
+    assert str(info.value) == (
+        "displacement (2, 0) leaves the frame or the window of block at (16,16), box (-1, 1, -1, 1)"
+    )
+    assert counter.evals == 0
 
 
 def test_psnr_identical_capped():

@@ -79,17 +79,22 @@ def test_compare_sets_gap_exceeds_parent_iqr(pairs, change, better, exceeds):
     assert result["gap_exceeds_parent_iqr"] is exceeds
 
 
-def _run(pair, side, value):
+def _run(pair, side, value, first):
     result = None if value is None else {"metrics": {"pairs_per_s": {"value": value}}}
-    return {"workload": "w", "pair": pair, "side": side, "result": result}
+    return {"workload": "w", "pair": pair, "side": side, "first": first, "result": result}
+
+
+def _pair(pair, first, second):
+    """The two runs of one pair, each a (side, value), in the order they ran."""
+    return [_run(pair, *first, True), _run(pair, *second, False)]
 
 
 def test_summarize_drops_a_pair_with_a_failed_side(pairs):
     runs = [
-        _run(0, "parent", 10.0), _run(0, "change", 12.0),
-        _run(1, "change", 11.0), _run(1, "parent", None),  # the parent's run failed
-        _run(2, "parent", None), _run(2, "change", None),
-        _run(3, "change", 9.0), _run(3, "parent", 10.0),
+        *_pair(0, ("parent", 10.0), ("change", 12.0)),
+        *_pair(1, ("change", 11.0), ("parent", None)),  # the parent's run failed
+        *_pair(2, ("parent", None), ("change", None)),
+        *_pair(3, ("change", 9.0), ("parent", 10.0)),
     ]
     summary = pairs.summarize(runs, {"pairs_per_s": "higher"})
     result = summary["w"]["pairs_per_s"]
@@ -97,6 +102,21 @@ def test_summarize_drops_a_pair_with_a_failed_side(pairs):
     assert result["parent"]["median"] == 10.0
     assert result["change"]["median"] == 10.5
     assert result["change_wins"] == 1
+
+
+@pytest.mark.parametrize("better, first_wins, change_wins", [("higher", 3, 3), ("lower", 1, 1)])
+def test_summarize_counts_the_wins_of_the_side_that_ran_first(pairs, better, first_wins, change_wins):
+    runs = [
+        *_pair(0, ("parent", 12.0), ("change", 10.0)),
+        *_pair(1, ("change", 13.0), ("parent", 11.0)),
+        *_pair(2, ("parent", 10.0), ("change", 10.0)),  # a tie counts for neither side
+        *_pair(3, ("change", 14.0), ("parent", 9.0)),
+        *_pair(4, ("parent", 9.0), ("change", 12.0)),
+        *_pair(5, ("change", None), ("parent", 20.0)),  # a failed run drops its pair
+    ]
+    result = pairs.summarize(runs, {"pairs_per_s": better})["w"]["pairs_per_s"]
+    assert result["pairs"] == 5
+    assert (result["first_wins"], result["change_wins"]) == (first_wins, change_wins)
 
 
 @pytest.mark.parametrize("count", [3, 5, 11])

@@ -6,7 +6,7 @@ whole-swarm array update of pso_match against the per-particle, per-dimension lo
 and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
-`estimate` for every algorithm: legal vectors, evals == len(memo), and the
+`estimate` for every algorithm: legal vectors and memo keys, evals == len(memo), and the
 static-block prejudgment. The int64 candidate keys of the array paths are
 held to candidate_key's order, and PairCost's memo to BlockCost's."""
 
@@ -134,17 +134,23 @@ def _round_half_away(v: float) -> int:
 
 def reference_pso_match(cost, pattern_positions, seed_candidates, config, rng, trace):
     """The scalar swarm: per-particle, per-dimension loops and two scalar
-    rng.random() draws per particle and dimension."""
+    rng.random() draws per particle and dimension, every query clamped to
+    the cost's box."""
+    dx_min, dx_max, dy_min, dy_max = cost.bounds
+
+    def clamp(d):
+        return (min(max(d[0], dx_min), dx_max), min(max(d[1], dy_min), dy_max))
+
     gbest_key = None
     gbest = None
     for cand in seed_candidates:
-        c = cost.clamp(cand)
+        c = clamp(cand)
         k = candidate_key(cost(c), c)
         if gbest_key is None or k < gbest_key:
             gbest_key, gbest = k, c
 
     n = config.particles
-    starts = [cost.clamp(pattern_positions[i % len(pattern_positions)]) for i in range(n)]
+    starts = [clamp(pattern_positions[i % len(pattern_positions)]) for i in range(n)]
     pos = np.array(starts, dtype=np.float64)
     vel = np.zeros((n, 2), dtype=np.float64)
     pbest = np.zeros((n, 2), dtype=np.float64)
@@ -152,7 +158,7 @@ def reference_pso_match(cost, pattern_positions, seed_candidates, config, rng, t
 
     for t in range(config.iterations):
         for i in range(n):
-            q = cost.clamp((_round_half_away(pos[i, 0]), _round_half_away(pos[i, 1])))
+            q = clamp((_round_half_away(pos[i, 0]), _round_half_away(pos[i, 1])))
             k = candidate_key(cost(q), q)
             if pbest_key[i] is None or k < pbest_key[i]:
                 pbest_key[i] = k
@@ -534,6 +540,9 @@ def test_estimate_invariants(pair, algorithm, p, threshold, arps_raw_threshold, 
         assert dx_min <= dx <= dx_max and dy_min <= dy <= dy_max
         if algorithm != "pso-zmp":  # the pattern searches also stay in the window
             assert max(abs(dx), abs(dy)) <= p
+        for mx, my in memo:  # so does every displacement evaluated on the way
+            assert dx_min <= mx <= dx_max and dy_min <= my <= dy_max
+            assert algorithm == "pso-zmp" or max(abs(mx), abs(my)) <= p
         assert field.evals_per_block[row, col] == len(memo)
         assert (dx, dy) in memo
         colocated = sad_sum(target[y : y + bs, x : x + bs], anchor[y : y + bs, x : x + bs])

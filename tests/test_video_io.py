@@ -95,6 +95,13 @@ def test_y4m_bad_frame_marker(tmp_path):
         load_y4m(path)
 
 
+def test_y4m_frame_marker_takes_parameters(tmp_path):
+    # FRAME ends at a newline or at the space before its parameter list
+    path = tmp_path / "f.y4m"
+    path.write_bytes(b"YUV4MPEG2 W16 H16 Cmono\nFRAME Ip XYZ\n" + bytes(256) + b"FRAME\n" + bytes(256))
+    assert len(load_y4m(path)) == 2
+
+
 def test_y4m_max_frames(tmp_path):
     luma = np.zeros((16, 16), np.uint8)
     path = tmp_path / "n.y4m"
@@ -288,6 +295,11 @@ DECODER_ERRORS = [
         "y4m",
         b"YUV4MPEG2 W16 H16 Cmono\nFRAMX\n" + bytes(256),
         "frame 0: expected FRAME marker, got b'FRAMX'",
+    ),
+    (
+        "y4m",
+        b"YUV4MPEG2 W16 H16 Cmono\nFRAMEX\n" + bytes(256),
+        "frame 0: expected FRAME marker, got b'FRAMEX'",
     ),
     ("y4m", _y4m_two_frames_cut_10(), "frame 1: truncated payload, 374 of 384 bytes present"),
     ("y4m", b"YUV4MPEG2 W16 H16 Cmono\n", "stream contains no frames"),

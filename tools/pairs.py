@@ -15,9 +15,10 @@ alternating from pair to pair, so a drift in host load falls on both sides
 alike. --pairs is 1 (a smoke run) or even, so each side runs first equally
 often. The output holds every result line, and per workload and end-to-end
 metric each side's median and quartiles, the change's wins over the parent
-pair by pair (in the metric's better direction), and whether the gap of the
-medians exceeds the parent's interquartile range. The exit status is 1 when
-any run failed or reported incorrect outputs.
+pair by pair (in the metric's better direction), the wins of the side that
+ran first (the order effect), and whether the gap of the medians exceeds the
+parent's interquartile range. The exit status is 1 when any run failed or
+reported incorrect outputs.
 """
 
 from __future__ import annotations
@@ -93,21 +94,29 @@ def compare(both: list[tuple[float, float]], better: str) -> dict | None:
 
 def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     """Per workload and end-to-end metric, compare() over the pairs in
-    which both sides ran and measured it."""
+    which both sides ran and measured it, plus first_wins: the pairs in
+    which the side that ran first read better (a tie counts for neither)."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
         for run in runs:
             if run["workload"] == workload and run["result"] is not None:
-                pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+                pairs.setdefault(run["pair"], {})[run["side"]] = (run["result"]["metrics"], run["first"])
         summary[workload] = {}
         for metric, better in directions.items():
+            # each pair's (parent, change) values, and whether the change ran first
             both = [
-                (p["parent"][metric]["value"], p["change"][metric]["value"])
+                ((p["parent"][0][metric]["value"], p["change"][0][metric]["value"]), p["change"][1])
                 for p in pairs.values()
                 if len(p) == 2
             ]
-            summary[workload][metric] = compare([v for v in both if None not in v], better)
+            both = [(v, change_first) for v, change_first in both if None not in v]
+            result = summary[workload][metric] = compare([v for v, _ in both], better)
+            if result is not None:
+                sign = 1 if better == "higher" else -1
+                result["first_wins"] = sum(
+                    ((b - a) if change_first else (a - b)) * sign > 0 for (a, b), change_first in both
+                )
     return summary
 
 
