@@ -7,6 +7,7 @@ pixels at (x + dx, y + dy). Compensation reads anchor[y+dy : , x+dx : ].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,17 @@ from .video_io import Frame
 MotionVector = tuple[int, int]
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a non-integral value of an integer setting: 16.0 or 2.5 would
+    pass a range check and fail later, as a bare TypeError, as a slice
+    bound or an array shape."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_block_size(block_size: int) -> None:
     """Reject a block side that cannot tile a frame (checked before any division)."""
+    check_integer("block_size", block_size)
     if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pso as swarm
-from .blocks import BlockGrid, MotionVector, block_origin, check_block_size
-from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, candidate_key
+from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, check_integer
+from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, candidate_key, sad_sums
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
@@ -60,6 +60,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         check_block_size(self.block_size)
+        check_integer("search_param", self.search_param)
         if self.search_param < 1:
             raise ValueError(f"search_param must be >= 1, got {self.search_param}")
         if self.zmp_threshold is not None and not (
@@ -231,7 +232,7 @@ def estimate(
     if cut is not None:
         # Every block's co-located raw sum in one op over the tiled region. It
         # is each memo's first entry, as it is every matcher's first query.
-        sums = np.abs(grid.tiles(anc) - grid.tiles(tgt)).sum(axis=(2, 3))
+        sums = sad_sums(grid.tiles(anc), grid.tiles(tgt))
         field.static_flags[...] = sums < cut
         field.evals_per_block[...] = 1
         colocated = sums.ravel()

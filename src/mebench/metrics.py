@@ -7,7 +7,9 @@ for every block of one frame pair at once: the lockstep diamond search and
 the column-wavefront swarm score many (block, displacement) pairs in one
 gather. candidate_key is the one order on candidates: ES and ARPS compare
 its tuples, and CandidateKeys ranks the array paths' candidates as int64
-keys that order exactly as it does.
+keys that order exactly as it does. sad_sums is the one place where a
+strided window difference is reduced: ES's window (box_sums) and
+`estimate`'s whole-frame prejudgment both sum through it.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -34,6 +36,21 @@ def sad_sum(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise ValueError(f"block shapes differ: {a.shape} vs {b.shape}")
     return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
+
+
+def sad_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Raw SAD sums over the last two axes of signed integer arrays a and b,
+    which broadcast together over the rest.
+
+    A window or tile view keeps its parent's strides, so a difference taken
+    the plain way inherits them, and summing each block of it walks the
+    frame's rows apart. The difference is written in C order instead, its
+    abs taken in place, and each block summed as one flat axis, in the
+    default int64 accumulator, which no frame's sum can overflow.
+    """
+    diff = np.subtract(a, b, order="C")
+    np.abs(diff, out=diff)
+    return diff.reshape(*diff.shape[:-2], -1).sum(axis=-1)
 
 
 class EvalCounter:
@@ -112,7 +129,7 @@ class BlockCost:
         region = self.anchor[
             self.y + dy_min : self.y + dy_max + bs, self.x + dx_min : self.x + dx_max + bs
         ]
-        sums = np.abs(sliding_window_view(region, (bs, bs)) - self.tgt).sum(axis=(2, 3))
+        sums = sad_sums(sliding_window_view(region, (bs, bs)), self.tgt)
         dxs = range(dx_min, dx_max + 1)
         self.counter.memo.update(
             zip(((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs), sums.ravel().tolist())

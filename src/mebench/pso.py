@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import MotionVector
+from .blocks import MotionVector, check_integer
 from .metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost
 
 # Particle seeding offsets, in particle-index order. A is the unit rood plus
@@ -68,6 +68,8 @@ class PsoConfig:
         for name in ("w_start", "c1", "c2", "v_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_integer("particles", self.particles)
+        check_integer("iterations", self.iterations)
         if self.particles < 1:
             raise ValueError(f"particles must be >= 1, got {self.particles}")
         if self.iterations < 1:

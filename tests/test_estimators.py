@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,20 @@ def test_static_cut_per_algorithm():
 def test_non_finite_threshold_rejected(value):
     with pytest.raises(ValueError, match="zmp_threshold must be finite"):
         EstimatorConfig(zmp_threshold=value)
+
+
+@pytest.mark.parametrize("name, value", [("search_param", 2.5), ("search_param", 7.0), ("block_size", 16.0)])
+def test_non_integral_integer_fields_rejected(name, value):
+    # these constructed at one time and failed in estimate with a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        EstimatorConfig(**{name: value})
+
+
+def test_numpy_integer_fields_accepted():
+    anchor, target = shifted_pair(48, 64, (1, 0), seed=22)
+    numpy_ints = EstimatorConfig(block_size=np.int64(16), search_param=np.int32(3))
+    a, b = (estimate("es", anchor, target, cfg) for cfg in (numpy_ints, EstimatorConfig(search_param=3)))
+    assert (a.vectors == b.vectors).all() and (a.evals_per_block == b.evals_per_block).all()
 
 
 def test_arps_requires_threshold():

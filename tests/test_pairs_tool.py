@@ -1,9 +1,12 @@
 """tools/pairs.py, the interleaved parent/change benchmark runner: its
 statistics (spread, compare, summarize) and its argument checks. No
-benchmark process is started; main runs against stubbed checkouts and runs."""
+benchmark process is started; main runs against stubbed checkouts and runs.
+Every committed BENCH_*.json is held to its own runs: its summary is
+summarize's, and each workload holds every pair it claims."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -138,3 +141,20 @@ def test_one_pair_and_even_pair_counts_run(pairs, no_runs, tmp_path, count):
     sides = [tree.name for tree, _ in no_runs]
     assert sides == ["a", "b", "b", "a"][: 2 * count]  # the side that runs first alternates
     assert (tmp_path / "BENCH_t.json").is_file()
+
+
+BENCH_FILES = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_committed_bench_file_summarizes_its_own_runs(pairs, path):
+    bench = json.loads(path.read_text())
+    metrics = json.loads((pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    directions = {m["name"]: m["better"] for m in metrics}
+    runs, count = bench["runs"], bench["pairs"]
+    assert bench["summary"] == pairs.summarize(runs, directions)
+    assert count == 1 or (count > 1 and count % 2 == 0)
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        # every pair complete: both sides ran and reported
+        done = {(r["pair"], r["side"]) for r in runs if r["workload"] == workload and r["result"] is not None}
+        assert done == {(pair, side) for pair in range(count) for side in pairs.SIDES}, workload

@@ -7,8 +7,10 @@ and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
 `estimate` for every algorithm: legal vectors and memo keys, evals == len(memo), and the
-static-block prejudgment. The int64 candidate keys of the array paths are
-held to candidate_key's order, and PairCost's memo to BlockCost's."""
+static-block prejudgment, and that `estimate` gives the same field whatever
+the memory layout of its frames (ES's window is drawn in three layouts too).
+The int64 candidate keys of the array paths are held to candidate_key's
+order, and PairCost's memo to BlockCost's."""
 
 from __future__ import annotations
 
@@ -207,14 +209,28 @@ def reference_compensate(anchor: Frame, field: MotionField) -> np.ndarray:
     return out
 
 
+def in_layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """a's values in C order, in Fortran order, or as a strided view into a
+    larger array."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    parent = np.zeros((2 * a.shape[0] + 1, 3 * a.shape[1]), a.dtype)
+    view = parent[1::2, ::3]
+    view[...] = a
+    return view
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     pair=frame_pairs(),
     p=st.one_of(st.none(), st.integers(1, 8)),
     dtype=st.sampled_from([np.int16, np.int32]),
+    layout=st.sampled_from(["C", "F", "strided"]),
     data=st.data(),
 )
-def test_es_equals_scalar_reference(pair, p, dtype, data):
+def test_es_equals_scalar_reference(pair, p, dtype, layout, data):
     anchor, target, bs, _ = pair
     grid = BlockGrid.for_frame(Frame(anchor), bs)
     origin = block_origin(grid, data.draw(st.integers(0, grid.n_blocks - 1)))
@@ -222,7 +238,8 @@ def test_es_equals_scalar_reference(pair, p, dtype, data):
 
     def make_cost():
         counter = EvalCounter()
-        return BlockCost(anchor.astype(dtype), target.astype(dtype), origin, bs, counter, window), counter
+        anc, tgt = (in_layout(a.astype(dtype), layout) for a in (anchor, target))
+        return BlockCost(anc, tgt, origin, bs, counter, window), counter
 
     cost, counter = make_cost()
     ref_cost, ref_counter = make_cost()
@@ -507,6 +524,27 @@ def test_swarm_in_estimate_equals_scalar_reference(
         assert field.vector(row, col) == vectors[row, col]
         assert list(memo.items()) == list(counter.memo.items())  # same points, same order
         assert field.evals_per_block[row, col] == counter.evals
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=frame_pairs(),
+    layout=st.sampled_from(["F", "strided"]),
+    threshold=st.one_of(st.just(0.0), st.floats(0, 64)),
+    seed=st.integers(0, 2**16),
+)
+def test_estimate_is_independent_of_frame_layout(algorithm, pair, layout, threshold, seed):
+    anchor, target, bs, _ = pair
+    config = EstimatorConfig(block_size=bs, search_param=4, zmp_threshold=threshold)
+    c_order, other = (
+        estimate(algorithm, *(Frame(in_layout(a, order)) for a in (anchor, target)), config, seed=seed, keep_memos=True)
+        for order in ("C", layout)
+    )
+    assert (other.vectors == c_order.vectors).all()
+    assert (other.evals_per_block == c_order.evals_per_block).all()
+    assert (other.static_flags == c_order.static_flags).all()
+    assert [list(m.items()) for m in other.memos] == [list(m.items()) for m in c_order.memos]
 
 
 @settings(max_examples=100, deadline=None)

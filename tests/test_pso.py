@@ -257,6 +257,13 @@ def test_pso_config_validation():
         PsoConfig(v_max=0)
 
 
+@pytest.mark.parametrize("name, value", [("particles", 2.5), ("particles", 8.0), ("iterations", 2.5)])
+def test_pso_config_rejects_non_integral_counts(name, value):
+    # these constructed at one time and failed in estimate with a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        PsoConfig(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["w_start", "c1", "c2", "v_max"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_pso_config_rejects_non_finite(name, value):
