@@ -537,10 +537,12 @@ def test_swarm_in_estimate_equals_scalar_reference(
 def test_estimate_is_independent_of_frame_layout(algorithm, pair, layout, threshold, seed):
     anchor, target, bs, _ = pair
     config = EstimatorConfig(block_size=bs, search_param=4, zmp_threshold=threshold)
-    c_order, other = (
-        estimate(algorithm, *(Frame(in_layout(a, order)) for a in (anchor, target)), config, seed=seed, keep_memos=True)
-        for order in ("C", layout)
-    )
+
+    def run(order):
+        frames = (Frame(in_layout(a, order)) for a in (anchor, target))
+        return estimate(algorithm, *frames, config, seed=seed, keep_memos=True)
+
+    c_order, other = run("C"), run(layout)
     assert (other.vectors == c_order.vectors).all()
     assert (other.evals_per_block == c_order.evals_per_block).all()
     assert (other.static_flags == c_order.static_flags).all()
