@@ -260,8 +260,6 @@ def estimate(
     if not moving.size:
         return field
     pair = PairCost(anc, tgt, grid)
-    if colocated is not None:
-        pair.record(moving, colocated[moving])
     if algorithm == "ds":
         vectors[moving] = ds_lockstep(pair, moving, p)
     else:

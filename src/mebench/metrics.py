@@ -2,14 +2,14 @@
 
 BlockCost is the memoized per-block cost oracle: ARPS queries it one
 displacement at a time, and ES fills its whole window in one array op
-(box_sums), memo and evaluation count included. PairCost is the same memo
-for every block of one frame pair at once: the lockstep diamond search and
-the column-wavefront swarm score many (block, displacement) pairs in one
-gather. candidate_key is the one order on candidates: ES and ARPS compare
-its tuples, and CandidateKeys ranks the array paths' candidates as int64
-keys that order exactly as it does. sad_sums is the one place where a
-strided window difference is reduced: ES's window (box_sums) and
-`estimate`'s whole-frame prejudgment both sum through it.
+(box_sums), memo and evaluation count included. PairCost scores many (block,
+displacement) pairs of one frame pair in one gather, for the lockstep
+diamond search and the column-wavefront swarm; its memo records the distinct
+ones. candidate_key is the one order on candidates: ES and ARPS compare its
+tuples, and CandidateKeys ranks the array paths' candidates as int64 keys
+that order exactly as it does. sad_sums is the one place where a strided
+window difference is reduced: ES's window (box_sums), the pair gather
+(PairCost.rank) and `estimate`'s prejudgment all sum through it.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -209,15 +209,16 @@ class CandidateKeys:
 
 
 class PairCost:
-    """Memoized costs of many (block, displacement) pairs of one frame pair.
+    """Costs of many (block, displacement) pairs of one frame pair.
 
     anchor/target are the pair's int16 frames and grid their block tiling.
     `rank` takes block indices (raster order) and frame-legal displacements,
-    arrays that broadcast together, computes the raw SAD sum of each new pair
-    in one gather from a sliding-window view of the anchor, and returns their
-    candidate keys. One dict memoizes every cost under block * area + at (see
-    CandidateKeys) in first-query order, within a call in array order, so
-    each block's entries keep the order a BlockCost memo would give them.
+    arrays that broadcast together, scores every pair, repeats included, in
+    one gather (sad_sums) from a sliding-window view of the anchor, and
+    returns their candidate keys. The memo is a record, never read back: one
+    dict of every distinct cost under block * area + at (see CandidateKeys)
+    in first-query order, within a call in array order, so each block's
+    entries keep the order a BlockCost memo would give them.
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
@@ -238,28 +239,16 @@ class PairCost:
         dx_min, dx_max, dy_min, dy_max = displacement_bounds(self.width, self.height, origin, self.grid.block_size)
         return np.stack((dx_min, dy_min), 1), np.stack((dx_max, dy_max), 1)
 
-    def record(self, blocks: np.ndarray, costs: np.ndarray) -> None:
-        """Memoize the blocks' known co-located costs, as their first entries."""
-        keys = blocks * self.keys.area + self._corner[blocks]
-        self.memo.update(zip(keys.tolist(), costs.tolist()))
-
     def rank(self, blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The candidate keys (CandidateKeys.encode) of displacements d
-        (..., 2) of the blocks, their costs taken from the memo or computed
-        in one gather and memoized."""
+        (..., 2) of the blocks, every one scored in one gather, repeats
+        included, and recorded in the memo."""
         at = self.keys.at(self._corner[blocks], d)
+        row, col = np.divmod(at, self.width)
+        costs = sad_sums(self._windows[row, col], self._tiles[blocks])
         keys = blocks * self.keys.area + at
-        flat = keys.ravel().tolist()
-        memo = self.memo
-        costs = list(map(memo.get, flat))
-        if None in costs:
-            fresh = np.array(list(dict.fromkeys([k for k, c in zip(flat, costs) if c is None])))
-            block, window = np.divmod(fresh, self.keys.area)
-            row, col = np.divmod(window, self.width)
-            sums = np.abs(self._windows[row, col] - self._tiles[block]).sum(axis=(1, 2))
-            memo.update(zip(fresh.tolist(), sums.tolist()))
-            costs = list(map(memo.__getitem__, flat))
-        return self.keys.encode(np.array(costs, dtype=np.int64).reshape(keys.shape), d, at)
+        self.memo.update(zip(keys.ravel().tolist(), costs.ravel().tolist()))
+        return self.keys.encode(costs, d, at)
 
     def evals(self) -> np.ndarray:
         """Distinct displacements memoized per block, raster order."""
