@@ -215,8 +215,8 @@ class PairCost:
     `rank` takes block indices (raster order) and frame-legal displacements,
     arrays that broadcast together, scores every pair, repeats included, in
     one gather (sad_sums) from a sliding-window view of the anchor, and
-    returns their candidate keys. The memo is a record, never read back: one
-    dict of every distinct cost under block * area + at (see CandidateKeys)
+    returns their candidate keys. The memo is a record that rank never reads:
+    one dict of every distinct cost under block * area + at (see CandidateKeys)
     in first-query order, within a call in array order, so each block's
     entries keep the order a BlockCost memo would give them.
     """

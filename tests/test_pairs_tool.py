@@ -136,11 +136,21 @@ def test_odd_pair_counts_are_a_usage_error(pairs, no_runs, tmp_path, capsys, cou
 @pytest.mark.parametrize("count", [1, 2])
 def test_one_pair_and_even_pair_counts_run(pairs, no_runs, tmp_path, count):
     argv = ["--parent", "a", "--change", "b", "--pairs", str(count), "--label", "t"]
-    argv += ["--workloads", "w", "--out", str(tmp_path)]
+    argv += ["--workloads", "qcif-pan-es", "--out", str(tmp_path)]
     assert pairs.main(argv) == 0
     sides = [tree.name for tree, _ in no_runs]
     assert sides == ["a", "b", "b", "a"][: 2 * count]  # the side that runs first alternates
     assert (tmp_path / "BENCH_t.json").is_file()
+
+
+def test_a_workload_not_in_the_benchmark_is_a_usage_error(pairs, no_runs, tmp_path, capsys):
+    argv = ["--parent", "a", "--change", "b", "--pairs", "2", "--label", "t", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        pairs.main(argv + ["--workloads", "qcif-pan-es,qcif-pan-fst"])
+    assert info.value.code == 2
+    assert "--workloads: unknown qcif-pan-fst; BENCHMARK.json names qcif-pan-es," in capsys.readouterr().err
+    assert no_runs == []
+    assert not list(tmp_path.iterdir())
 
 
 BENCH_FILES = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))

@@ -377,11 +377,18 @@ def test_pair_cost_memo_equals_block_costs(pair, data):
     costs = PairCost(anc, tgt, grid)
     singles = [BlockCost(anc, tgt, block_origin(grid, i), bs, EvalCounter()) for i in range(grid.n_blocks)]
     for _ in range(data.draw(st.integers(1, 4))):  # a few calls, repeats and duplicates included
-        blocks = rng.integers(0, grid.n_blocks, data.draw(st.integers(1, 12)))
-        lo, hi = costs.bounds(blocks)
+        if data.draw(st.booleans()):  # DS's shape: blocks (k,), one displacement each
+            blocks = rng.integers(0, grid.n_blocks, data.draw(st.integers(1, 12)))
+            lo, hi = costs.bounds(blocks)
+        else:  # the swarm's: blocks (k, 1), m displacements each, (k, m, 2)
+            blocks = rng.integers(0, grid.n_blocks, (data.draw(st.integers(1, 6)), 1))
+            m = data.draw(st.integers(1, 6))
+            lo, hi = (np.repeat(b[:, None], m, 1) for b in costs.bounds(blocks[:, 0]))
         d = rng.integers(lo, hi + 1) if data.draw(st.booleans()) else np.clip(rng.integers(-2, 3, lo.shape), lo, hi)
         got = costs.rank(blocks, d)
-        for b, (dx, dy), key in zip(blocks.tolist(), d.tolist(), got.tolist()):
+        assert got.shape == d.shape[:-1]
+        per_query = np.broadcast_to(blocks, got.shape).ravel().tolist()
+        for b, (dx, dy), key in zip(per_query, d.reshape(-1, 2).tolist(), got.ravel().tolist()):
             corner = singles[b].y * anchor.shape[1] + singles[b].x
             at = costs.keys.at(corner, np.array([dx, dy]))
             assert key == costs.keys.encode(singles[b]((dx, dy)), np.array([dx, dy]), at)

@@ -138,9 +138,11 @@ def main(argv=None) -> int:
         p.error(f"--pairs must be 1 or even, got {args.pairs}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        workloads = args.workloads.split(",")
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        p.error(f"--workloads: unknown {', '.join(unknown)}; BENCHMARK.json names {', '.join(known)}")
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     scratch = Path(tempfile.mkdtemp(prefix="mebench-pairs-"))
     try:
