@@ -77,7 +77,7 @@ class BlockCost:
     corner in the target frame. Candidate blocks are read from the anchor at
     origin + d. `bounds`, the one box of legal queries, is the frame's
     (displacement_bounds) cut to an optional window (dx_min, dx_max, dy_min,
-    dy_max); `legal` and `box_sums` read it, and a query outside it raises.
+    dy_max); `legal` is the one test against it, and a query it refuses raises.
     """
 
     def __init__(
@@ -108,8 +108,7 @@ class BlockCost:
     def __call__(self, d: MotionVector) -> int:
         c = self.counter.memo.get(d)
         if c is None:
-            dx_min, dx_max, dy_min, dy_max = self.bounds
-            if not (dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max):
+            if not self.legal(d):
                 raise ValueError(
                     f"displacement {d} leaves the frame or the window of block at ({self.x},{self.y}), "
                     f"box {self.bounds}"

@@ -1,4 +1,5 @@
-"""Shared synthetic-data helpers, and load_script for the repo's scripts.
+"""Shared synthetic-data helpers, make_cost (one block's cost oracle), and
+load_script for the repo's scripts.
 
 shifted_pair builds an exact global translation with no wrap-around: the
 target block at (x, y) equals the anchor pixels at (x+dx, y+dy), so a correct
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mebench import Frame
+from mebench import EvalCounter, Frame
+from mebench.metrics import BlockCost
 
 
 def box_mean(a: np.ndarray, size: int) -> np.ndarray:
@@ -69,6 +71,14 @@ def shifted_pair(h: int, w: int, shift: tuple[int, int], seed: int, pad: int = 8
 def noise_frame(h: int, w: int, seed: int) -> Frame:
     rng = np.random.default_rng(seed)
     return Frame(rng.integers(0, 256, (h, w), dtype=np.uint8))
+
+
+def make_cost(anchor: Frame, target: Frame, origin: tuple[int, int], window=None):
+    """A 16x16 block's BlockCost at origin, optionally cut to window
+    (dx_min, dx_max, dy_min, dy_max), and the EvalCounter it fills."""
+    counter = EvalCounter()
+    cost = BlockCost(anchor.luma.astype(np.int32), target.luma.astype(np.int32), origin, 16, counter, window)
+    return cost, counter
 
 
 def write_y4m(path, lumas, chroma_value: int = 128, header: bytes | None = None) -> None:

@@ -6,29 +6,14 @@ import pytest
 from mebench import (
     BlockGrid,
     EstimatorConfig,
-    EvalCounter,
     Frame,
-    arps_search,
     block_origin,
     es_search,
     estimate,
 )
-from mebench.metrics import BlockCost
+from mebench.estimators import arps_search
 
-from conftest import noise_frame, shifted_pair, smooth_texture
-
-
-def make_cost(anchor, target, origin, window=None, block_size=16):
-    counter = EvalCounter()
-    cost = BlockCost(
-        anchor.luma.astype(np.int32),
-        target.luma.astype(np.int32),
-        origin,
-        block_size,
-        counter,
-        window,
-    )
-    return cost, counter
+from conftest import make_cost, noise_frame, shifted_pair, smooth_texture
 
 
 def brute_force_best(anchor, target, origin, p, block_size=16):

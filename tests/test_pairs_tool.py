@@ -1,13 +1,16 @@
 """tools/pairs.py, the interleaved parent/change benchmark runner: its
-statistics (spread, compare, summarize) and its argument checks. No
-benchmark process is started; main runs against stubbed checkouts and runs.
+statistics (spread, compare, summarize), its argument checks, and the two
+medians it keeps from each run's summary line. No benchmark process is
+started; main runs against stubbed checkouts and benchmark processes.
 Every committed BENCH_*.json is held to its own runs: its summary is
 summarize's, and each workload holds every pair it claims."""
 
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,19 +23,26 @@ def pairs():
         yield load_script("tools/pairs.py", "mebench_tools_pairs", monkeypatch)
 
 
+SUMMARY_LINE = "{}: 3 runs; wall pairs_per_s median 41.5, host speed median 0.83 (min 0.8)\n"
+
+
 @pytest.fixture
 def no_runs(pairs, monkeypatch):
-    """main with checkouts and benchmark runs stubbed out: every run returns
-    the same passing result line, and the runs made are recorded."""
+    """main with checkouts and benchmark processes stubbed out: every run
+    prints the same summary line and passing result line, and the runs made
+    are recorded."""
     made = []
 
-    def run_once(tree, workload, seed, seconds):
-        made.append((tree, workload))
+    def run(cmd, cwd, **kwargs):
+        workload = cmd[cmd.index("--workload") + 1]
+        made.append((Path(cwd), workload))
         metrics = {"pairs_per_s": 50.0, "setup_s": 0.3, "peak_rss_mb": 60.0, "ok_frac": 1.0}
-        return {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+        result = {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+        stdout = SUMMARY_LINE.format(workload) + f"{workload} (seed 0, 30 pairs)\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
 
     monkeypatch.setattr(pairs, "checkout", lambda ref, scratch: Path(ref))
-    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "subprocess", SimpleNamespace(run=run))
     return made
 
 
@@ -151,6 +161,23 @@ def test_a_workload_not_in_the_benchmark_is_a_usage_error(pairs, no_runs, tmp_pa
     assert "--workloads: unknown qcif-pan-fst; BENCHMARK.json names qcif-pan-es," in capsys.readouterr().err
     assert no_runs == []
     assert not list(tmp_path.iterdir())
+
+
+def test_each_run_keeps_the_wall_rate_and_host_speed_of_its_summary_line(pairs, no_runs, tmp_path):
+    argv = ["--parent", "a", "--change", "b", "--pairs", "2", "--label", "t"]
+    assert pairs.main(argv + ["--workloads", "qcif-pan-fast", "--out", str(tmp_path)]) == 0
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [(r["wall_pairs_per_s"], r["host_speed"]) for r in bench["runs"]] == [(41.5, 0.83)] * 4
+    assert list(bench["summary"]["qcif-pan-fast"]) == ["pairs_per_s", "setup_s", "peak_rss_mb", "ok_frac"]
+
+
+def test_a_failed_run_keeps_its_summary_line_medians_when_it_printed_one(pairs, monkeypatch, capsys):
+    for stdout, medians in [("", (None, None)), (SUMMARY_LINE.format("w"), (41.5, 0.83))]:
+        proc = subprocess.CompletedProcess([], 1, stdout, "Traceback: boom")
+        monkeypatch.setattr(pairs, "subprocess", SimpleNamespace(run=lambda *a, **k: proc))
+        run = pairs.run_once(Path("a"), "w", 0, 1.0)
+        assert run == {"result": None, "wall_pairs_per_s": medians[0], "host_speed": medians[1]}
+        assert "boom" in capsys.readouterr().err
 
 
 BENCH_FILES = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))

@@ -5,35 +5,21 @@ import pytest
 
 from mebench import (
     EstimatorConfig,
-    EvalCounter,
     Frame,
     PsoConfig,
     estimate,
     inertia_weight,
     init_pattern,
     pso_match,
-    select_pattern,
 )
-from mebench.metrics import BlockCost
+from mebench.pso import select_pattern
 
-from conftest import noise_frame, shifted_pair
+from conftest import make_cost, noise_frame, shifted_pair
 
 PATTERN_A = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)}
 PATTERN_B = {(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)}
 PATTERN_C = {(0, -1), (1, 0), (1, -1), (2, 0), (0, -2), (2, -1), (1, -2), (2, -2)}
 PATTERN_D = {(0, 1), (0, -1), (0, 2), (0, -2), (1, 0), (2, 0), (1, 1), (1, -1)}
-
-
-def make_cost(anchor, target, origin, block_size=16):
-    counter = EvalCounter()
-    cost = BlockCost(
-        anchor.luma.astype(np.int32),
-        target.luma.astype(np.int32),
-        origin,
-        block_size,
-        counter,
-    )
-    return cost, counter
 
 
 def single_block_frames(target_pixel=None):

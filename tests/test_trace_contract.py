@@ -4,11 +4,15 @@ calling __call__, or `estimate` binding the swarm's column step at import
 time (so a wrapped module attribute is never called) turns its per-layer
 metrics into null or zero; these tests catch all three. They also hold
 `estimate` to prejudging a whole frame before building any per-block cost
-oracle, and the package's `__all__` to names that exist."""
+oracle, and the package's `__all__` to names that exist: exactly the
+README's library and the names the acceptance gate imports from mebench."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import re
+import types
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ import mebench
 from mebench import EstimatorConfig, Frame, block_origin, estimate, pso
 from mebench.metrics import BlockCost
 
-from conftest import load_script, shifted_pair, smooth_texture
+from conftest import REPO, load_script, shifted_pair, smooth_texture
 
 
 def test_every_wrapped_name_exists(monkeypatch):
@@ -118,3 +122,25 @@ def test_star_import_resolves_every_exported_name():
     namespace = {}
     exec("from mebench import *", namespace)
     assert set(mebench.__all__) <= set(namespace)
+
+
+def _readme_root_names(group: str) -> set[str]:
+    """The names in backticks of the README Library section's `group` bullet."""
+    text = (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullet = text.split(f"\n- **{group}", 1)[1].split("\n\n", 1)[0].split("\n- ", 1)[0]
+    return set(re.findall(r"`([A-Za-z_]\w*)`", bullet))
+
+
+def test_root_exports_the_readme_library_and_the_acceptance_gate_imports():
+    tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+    gate = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mebench" and not node.level
+        for alias in node.names
+    }
+    library = _readme_root_names("Library:**")
+    assert set(mebench.__all__) == library | gate
+    assert _readme_root_names("Acceptance-gate helpers**") == gate - library
+    public = {n for n, v in vars(mebench).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == set(mebench.__all__)

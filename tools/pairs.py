@@ -13,12 +13,15 @@ unless --workloads names some) and every pair, both sides run
 one after the other in their own checkout, the side that runs first
 alternating from pair to pair, so a drift in host load falls on both sides
 alike. --pairs is 1 (a smoke run) or even, so each side runs first equally
-often. The output holds every result line, and per workload and end-to-end
-metric each side's median and quartiles, the change's wins over the parent
-pair by pair (in the metric's better direction), the wins of the side that
-ran first (the order effect), and whether the gap of the medians exceeds the
-parent's interquartile range. The exit status is 1 when any run failed or
-reported incorrect outputs.
+often. The output holds every run's result line, and its wall-clock
+pairs_per_s and host-speed medians from the summary line run.py prints
+before it: the result line's pairs_per_s is normalised by the host speed,
+so the two tell a slower program from a faster-reading probe. Per workload
+and end-to-end metric it holds each side's median and quartiles, the
+change's wins over the parent pair by pair (in the metric's better
+direction), the wins of the side that ran first (the order effect), and
+whether the gap of the medians exceeds the parent's interquartile range.
+The exit status is 1 when any run failed or reported incorrect outputs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -38,6 +42,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# benchmarks/run.py's summary line, e.g. "qcif-pan-es: 12 runs; wall
+# pairs_per_s median 62.6, host speed median 0.73 (min 0.7)"
+WALL = re.compile(r"wall pairs_per_s median (\S+), host speed median (\S+) ")
 
 
 def checkout(ref: str, scratch: Path) -> Path:
@@ -54,16 +61,20 @@ def checkout(ref: str, scratch: Path) -> Path:
     return target
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The benchmark's result line for one run in `tree`, or None when it failed."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run in `tree`: the benchmark's result line (None when the run
+    failed), and the wall-clock pairs_per_s and host-speed medians of the
+    summary line printed before it (None when it printed none)."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    ok = proc.returncode == 0 and lines
+    if not ok:
         print(proc.stderr[-2000:], file=sys.stderr)
-        return None
-    return json.loads(lines[-1])
+    medians = WALL.search(proc.stdout)
+    wall, speed = map(float, medians.groups()) if medians else (None, None)
+    return {"result": json.loads(lines[-1]) if ok else None, "wall_pairs_per_s": wall, "host_speed": speed}
 
 
 def spread(values: list[float]) -> dict:
@@ -152,9 +163,10 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result = run_once(trees[side], workload, args.seed, args.seconds)
                     run = {"workload": workload, "pair": pair, "side": side, "first": side == order[0]}
-                    runs.append({**run, "result": result})
+                    run.update(run_once(trees[side], workload, args.seed, args.seconds))
+                    runs.append(run)
+                    result = run["result"]
                     value = None if result is None else result["metrics"]["pairs_per_s"]["value"]
                     print(f"{workload} pair {pair} {side}: pairs_per_s {value}", file=sys.stderr)
     finally:
