@@ -9,8 +9,9 @@ block's first memo entry, one evaluation; static blocks stop there. The
 searches themselves only search and return vectors; of the field they see
 only the left neighbor's vector (in column 0, None for ARPS and (0, 0) for
 the swarm), the one link between blocks. ES and ARPS search one block at a
-time through a memoized BlockCost; ES fills its whole window in one array op
-(BlockCost.box_sums) and counts every displacement in it, and ARPS scores its
+time through a memoized BlockCost; ES scores its whole window in one array
+op (BlockCost.box_sums) and counts every displacement in it, its memo entries
+built only when the memo is read (keep_memos), and ARPS scores its
 start set and then each unit rood one point at a time, in one loop. DS,
 whose blocks are independent, walks every moving block's diamond in
 lockstep, and the swarm runs one grid column at a time (pso.column_search),

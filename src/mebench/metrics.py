@@ -1,11 +1,13 @@
 """Matching cost and reconstruction quality metrics.
 
 BlockCost is the memoized per-block cost oracle: ARPS queries it one
-displacement at a time, and ES fills its whole window in one array op
-(box_sums), memo and evaluation count included. PairCost scores many (block,
-displacement) pairs of one frame pair in one gather, for the lockstep
-diamond search and the column-wavefront swarm; its memo records the distinct
-ones. candidate_key is the one order on candidates: ES and ARPS compare its
+displacement at a time, and ES scores its whole window in one array op
+(box_sums). EvalCounter is the block's ledger: it counts a scored window as
+a pending box and merges the box into its memo only when the memo is read,
+so a run that keeps no memos builds none of their entries. PairCost scores
+many (block, displacement) pairs of one frame pair in one gather, for the
+lockstep diamond search and the column-wavefront swarm; its memo records
+the distinct ones. candidate_key is the one order on candidates: ES and ARPS compare its
 tuples, and CandidateKeys ranks the array paths' candidates as int64 keys
 that order exactly as it does. sad_sums is the one place where a strided
 window difference is reduced: ES's window (box_sums), the pair gather
@@ -21,7 +23,7 @@ it in one array op, so static blocks never reach a cost oracle.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .blocks import MotionVector, displacement_bounds
 from .video_io import Frame, Sequence
@@ -58,15 +60,41 @@ class EvalCounter:
 
     memo maps each clamped displacement to its raw SAD sum; re-querying a
     memoized displacement is free and does not count as new work. A given
-    memo is used in place, entries already in it included.
+    memo dict is used in place, entries already in it included, but a box
+    that BlockCost.box_sums scored whole reaches it only through
+    `counter.memo`: the box is kept pending as (bounds, sums) and merged the
+    first time memo is read, after the entries already there (a key already
+    present keeps its place), in (dy, dx) raster order. evals counts the
+    distinct displacements without merging.
     """
 
     def __init__(self, memo: dict[MotionVector, int] | None = None):
-        self.memo: dict[MotionVector, int] = {} if memo is None else memo
+        self._memo: dict[MotionVector, int] = {} if memo is None else memo
+        self._box: tuple[tuple[int, int, int, int], np.ndarray] | None = None
+
+    @property
+    def memo(self) -> dict[MotionVector, int]:
+        if self._box is not None:
+            (dx_min, dx_max, dy_min, dy_max), sums = self._box
+            self._box = None
+            dxs = range(dx_min, dx_max + 1)
+            keys = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs)
+            self._memo.update(zip(keys, sums.ravel().tolist()))
+        return self._memo
+
+    def record_box(self, bounds: tuple[int, int, int, int], sums: np.ndarray) -> None:
+        """Count every displacement in the box `bounds` as evaluated, with
+        `sums` its (dy, dx) array of raw costs, merged into memo on read."""
+        self.memo  # a pending box merges first, so memo order stays query order
+        self._box = (bounds, sums)
 
     @property
     def evals(self) -> int:
-        return len(self.memo)
+        if self._box is None:
+            return len(self._memo)
+        (dx_min, dx_max, dy_min, dy_max), sums = self._box
+        inside = sum(dx_min <= dx <= dx_max and dy_min <= dy <= dy_max for dx, dy in self._memo)
+        return len(self._memo) + sums.size - inside
 
 
 class BlockCost:
@@ -106,7 +134,10 @@ class BlockCost:
         return dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max
 
     def __call__(self, d: MotionVector) -> int:
-        c = self.counter.memo.get(d)
+        counter = self.counter
+        # the dict itself unless a box is pending, which the memo property merges first
+        memo = counter._memo if counter._box is None else counter.memo
+        c = memo.get(d)
         if c is None:
             if not self.legal(d):
                 raise ValueError(
@@ -116,23 +147,24 @@ class BlockCost:
             bs = self.block_size
             cx, cy = self.x + d[0], self.y + d[1]
             c = int(np.abs(self.tgt - self.anchor[cy : cy + bs, cx : cx + bs]).sum())
-            self.counter.memo[d] = c
+            memo[d] = c
         return c
 
     def box_sums(self) -> np.ndarray:
-        """Raw SAD sum of every displacement in `bounds`, as a (dy, dx) array
-        whose [0, 0] is (dx_min, dy_min). Every displacement is memoized, so
-        it counts as one evaluation, as if each had been queried."""
+        """Raw SAD sum of every displacement in `bounds`, as a read-only (dy,
+        dx) array whose [0, 0] is (dx_min, dy_min). Every displacement counts
+        as one evaluation, as if each had been queried; the counter records
+        the box and merges it into its memo when the memo is read."""
         dx_min, dx_max, dy_min, dy_max = self.bounds
         bs = self.block_size
         region = self.anchor[
             self.y + dy_min : self.y + dy_max + bs, self.x + dx_min : self.x + dx_max + bs
         ]
-        sums = sad_sums(sliding_window_view(region, (bs, bs)), self.tgt)
-        dxs = range(dx_min, dx_max + 1)
-        self.counter.memo.update(
-            zip(((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs), sums.ravel().tolist())
-        )
+        # window [i, j] is region[i : i + bs, j : j + bs]: one view, no copy
+        shape = (dy_max - dy_min + 1, dx_max - dx_min + 1, bs, bs)
+        sums = sad_sums(as_strided(region, shape, region.strides * 2, writeable=False), self.tgt)
+        sums.flags.writeable = False
+        self.counter.record_box(self.bounds, sums)
         return sums
 
 

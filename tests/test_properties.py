@@ -1,13 +1,14 @@
 """Differential properties of the array fast paths against small scalar
 references: ES's one-op window (BlockCost.box_sums) against a raster scan of
-single BlockCost queries, alone and inside `estimate`, and DS and ARPS inside
+single BlockCost queries, alone and inside `estimate`, EvalCounter's pending
+box against a memo filled eagerly in query order, and DS and ARPS inside
 `estimate` against plain pattern walks (same vectors, same memo order), the
 whole-swarm array update of pso_match against the per-particle, per-dimension loop it replaced (alone,
 and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
-`estimate` for every algorithm: legal vectors and memo keys, evals == len(memo), and the
-static-block prejudgment, and that `estimate` gives the same field whatever
+`estimate` for every algorithm: legal vectors and memo keys, evals == len(memo), the
+static-block prejudgment, the same field without memos, and that `estimate` gives the same field whatever
 the memory layout of its frames (ES's window is drawn in three layouts too).
 The int64 candidate keys of the array paths are held to candidate_key's
 order, and PairCost's memo to BlockCost's."""
@@ -254,6 +255,46 @@ def test_es_equals_scalar_reference(pair, p, dtype, layout, data):
     for (dx, dy), c in counter.memo.items():
         assert type(c) is int
         assert c == sad_sum(tgt, anchor[y + dy : y + dy + bs, x + dx : x + dx + bs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=frame_pairs(), p=st.integers(1, 8), seeded=st.booleans(), data=st.data())
+def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
+    anchor, target, bs, _ = pair
+    grid = BlockGrid.for_frame(Frame(anchor), bs)
+    x, y = origin = block_origin(grid, data.draw(st.integers(0, grid.n_blocks - 1)))
+    anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
+
+    def sad(d):
+        dx, dy = d
+        return sad_sum(tgt[y : y + bs, x : x + bs], anc[y + dy : y + dy + bs, x + dx : x + dx + bs])
+
+    expected = {(0, 0): sad((0, 0))} if seeded else {}  # filled eagerly, in query order
+    memo = dict(expected)
+    counter = EvalCounter(memo)
+    # one ledger, two oracles: queries through the whole frame box also land
+    # outside the +-p box that box_sums scores
+    whole = BlockCost(anc, tgt, origin, bs, counter)
+    boxed = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
+    dx_min, dx_max, dy_min, dy_max = whole.bounds
+    query = st.tuples(st.integers(dx_min, dx_max), st.integers(dy_min, dy_max))
+    for op in data.draw(st.lists(st.one_of(query, st.just("box"), st.just("evals")), max_size=24)):
+        if op == "evals":
+            assert counter.evals == len(expected)
+        elif op == "box":
+            sums = boxed.box_sums()
+            bx_min, bx_max, by_min, by_max = boxed.bounds
+            for dy in range(by_min, by_max + 1):
+                for dx in range(bx_min, bx_max + 1):
+                    assert sums[dy - by_min, dx - bx_min] == sad((dx, dy))
+                    expected.setdefault((dx, dy), sad((dx, dy)))
+        else:
+            assert whole(op) == sad(op)
+            expected.setdefault(op, sad(op))
+    assert counter.evals == len(expected)
+    assert counter.memo is memo  # the given dict, used in place
+    assert list(memo.items()) == list(expected.items())  # same points, same order
+    assert counter.evals == len(memo)
 
 
 @settings(max_examples=150, deadline=None)
@@ -577,6 +618,10 @@ def test_estimate_invariants(pair, algorithm, p, threshold, arps_raw_threshold, 
     )
     cut = config.static_cut(algorithm)
     field = estimate(algorithm, Frame(anchor), Frame(target), config, seed=seed, keep_memos=True)
+    bare = estimate(algorithm, Frame(anchor), Frame(target), config, seed=seed)  # the CLI's path
+    assert bare.memos is None
+    for name in ("vectors", "evals_per_block", "static_flags"):
+        assert np.array_equal(getattr(bare, name), getattr(field, name))
     grid = field.grid
     assert (grid.cols, grid.rows) == (anchor.shape[1] // bs, anchor.shape[0] // bs)
     for index, memo in enumerate(field.memos):
