@@ -7,11 +7,12 @@ a pending box and merges the box into its memo only when the memo is read,
 so a run that keeps no memos builds none of their entries. PairCost scores
 many (block, displacement) pairs of one frame pair in one gather, for the
 lockstep diamond search and the column-wavefront swarm; its memo records
-the distinct ones. candidate_key is the one order on candidates: ES and ARPS compare its
-tuples, and CandidateKeys ranks the array paths' candidates as int64 keys
-that order exactly as it does. sad_sums is the one place where a strided
-window difference is reduced: ES's window (box_sums), the pair gather
-(PairCost.rank) and `estimate`'s prejudgment all sum through it.
+the distinct ones. candidate_key is the one order on candidates: ES and
+ARPS compare its tuples, and CandidateKeys ranks the array paths'
+candidates as int64 keys that order exactly as it does. sad_sums is the
+one place where a strided window difference is reduced: ES's window
+(box_sums), the pair gather (PairCost.rank) and `estimate`'s prejudgment
+all sum through it.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N

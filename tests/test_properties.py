@@ -8,8 +8,8 @@ and inside `estimate` with the start rule and one stream per pair), and
 compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
 windows are interior, edge-clipped and corner-clipped. Last, invariants of
 `estimate` for every algorithm: legal vectors and memo keys, evals == len(memo), the
-static-block prejudgment, the same field without memos, and that `estimate` gives the same field whatever
-the memory layout of its frames (ES's window is drawn in three layouts too).
+static-block prejudgment and the same field without memos, and that `estimate`
+gives the same field whatever the memory layout of its frames (ES's window is drawn in three layouts too).
 The int64 candidate keys of the array paths are held to candidate_key's
 order, and PairCost's memo to BlockCost's."""
 
