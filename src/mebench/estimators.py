@@ -6,18 +6,19 @@ The driver alone prejudges static blocks, as one frame-level op ahead of any
 search: every block's co-located raw sum against EstimatorConfig.static_cut,
 the one place the threshold is converted to raw-sum units. That sum is each
 block's first memo entry, one evaluation; static blocks stop there. The
-searches themselves only search and return vectors; of the field they see
-only the left neighbor's vector (in column 0, None for ARPS and (0, 0) for
-the swarm), the one link between blocks. ES and ARPS search one block at a
-time through a memoized BlockCost; ES scores its whole window in one array
-op (BlockCost.box_sums) and counts every displacement in it, its memo entries
-built only when the memo is read (keep_memos), and ARPS scores its
-start set and then each unit rood one point at a time, in one loop. DS,
-whose blocks are independent, walks every moving block's diamond in
-lockstep, and the swarm runs one grid column at a time (pso.column_search),
-both scored through one PairCost per frame pair. Every memo counts a
-revisited displacement once and keeps its first-query order, and ties are
-broken uniformly by candidate_key (center-biased, then raster order).
+searches themselves only search; of the field they see only the left
+neighbor's vector (in column 0, None for ARPS and (0, 0) for the swarm), the
+one link between blocks. ES and ARPS search one block at a time through a
+memoized BlockCost; ES scores its whole window in one array op
+(BlockCost.box_sums) and counts every displacement in it, its memo entries
+built only when the memo is read (keep_memos), and ARPS scores its start set
+and then each unit rood one point at a time, in one loop. DS, whose blocks
+are independent, walks every moving block's diamond in lockstep. The swarm
+(pso.search) draws the pair's stream and runs one grid column at a time,
+each column's vectors written to the field before the next reads them. Both
+score through one PairCost per frame pair. Every memo counts a revisited
+displacement once and keeps its first-query order, and ties are broken
+uniformly by candidate_key (center-biased, then raster order).
 """
 
 from __future__ import annotations
@@ -264,18 +265,7 @@ def estimate(
     if algorithm == "ds":
         vectors[moving] = ds_lockstep(pair, moving, p)
     else:
-        swarm_config = pso or swarm.PsoConfig()
-        rng = np.random.Generator(np.random.PCG64(seed))
-        # the pair's stream: each moving block's draws, blocks in raster order
-        r = rng.random((moving.size, swarm_config.iterations, swarm_config.particles, 2, 2))
-        column = moving % grid.cols
-        for col in sorted(set(column.tolist())):  # only columns that hold a moving block
-            rank = np.flatnonzero(column == col)
-            blocks = moving[rank]
-            # the column's one link to the field, (0, 0) in column 0
-            left = vectors[blocks - 1] if col else np.zeros_like(vectors[blocks])
-            # looked up at call time, so a wrapper around the module attribute sees every column
-            vectors[blocks] = swarm.column_search(pair, blocks, left, swarm_config, r[rank])
+        swarm.search(pair, moving, vectors, pso or swarm.PsoConfig(), seed)
     evals[moving] = pair.evals()[moving]
     if keep_memos:
         pair.fill(field.memos)

@@ -57,16 +57,17 @@ def sad_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class EvalCounter:
-    """Per-block ledger of distinct cost evaluations.
+    """Per-block ledger of distinct cost evaluations. Its state is its own:
+    every reader, BlockCost included, goes through memo, record_box and evals.
 
     memo maps each clamped displacement to its raw SAD sum; re-querying a
     memoized displacement is free and does not count as new work. A given
     memo dict is used in place, entries already in it included, but a box
-    that BlockCost.box_sums scored whole reaches it only through
-    `counter.memo`: the box is kept pending as (bounds, sums) and merged the
-    first time memo is read, after the entries already there (a key already
-    present keeps its place), in (dy, dx) raster order. evals counts the
-    distinct displacements without merging.
+    that BlockCost.box_sums scored whole reaches it only through memo: the
+    box is kept pending as (bounds, sums) and merged the first time memo is
+    read, after the entries already there (a key already present keeps its
+    place), in (dy, dx) raster order. evals counts the distinct
+    displacements without merging.
     """
 
     def __init__(self, memo: dict[MotionVector, int] | None = None):
@@ -107,7 +108,7 @@ class BlockCost:
     origin + d. `bounds`, the one box of legal queries, is the frame's
     (displacement_bounds) cut to an optional window (dx_min, dx_max, dy_min,
     dy_max); `legal` is the one test against it, and a query it refuses raises.
-    """
+    A query reads and fills counter.memo, so a pending box is merged first."""
 
     def __init__(
         self,
@@ -135,9 +136,7 @@ class BlockCost:
         return dx_min <= d[0] <= dx_max and dy_min <= d[1] <= dy_max
 
     def __call__(self, d: MotionVector) -> int:
-        counter = self.counter
-        # the dict itself unless a box is pending, which the memo property merges first
-        memo = counter._memo if counter._box is None else counter.memo
+        memo = self.counter.memo
         c = memo.get(d)
         if c is None:
             if not self.legal(d):
@@ -179,14 +178,8 @@ def sad_at(
 ) -> int:
     """Memoized raw SAD sum between the target block at origin and the anchor
     block at origin + d. Counts one evaluation only when d is new."""
-    cost = BlockCost(
-        anchor.luma.astype(np.int32),
-        target.luma.astype(np.int32),
-        origin,
-        block_size,
-        counter,
-    )
-    return cost(d)
+    anc, tgt = anchor.luma.astype(np.int16), target.luma.astype(np.int16)
+    return BlockCost(anc, tgt, origin, block_size, counter)(d)
 
 
 def candidate_key(cost: int, d: MotionVector) -> tuple[int, int, int, int]:

@@ -1,9 +1,9 @@
 """Swarm block search: edge-aware particle seeding patterns and a
-fixed-iteration particle swarm. `estimators.estimate` runs it on every block
-it has not prejudged static, one grid column at a time (column_search):
-blocks link only through their left neighbor, so a column's blocks are
-independent and update together. pso_match is the one-block case of the
-same swarm, scored through a BlockCost.
+fixed-iteration particle swarm. `estimators.estimate` hands every block it
+has not prejudged static to `search`, which runs the swarm one grid column at
+a time (column_search): blocks link only through their left neighbor, so a
+column's blocks are independent and update together. pso_match is the
+one-block case of the same swarm, scored through a BlockCost.
 
 Moving blocks get eight particles placed by a pattern keyed to the block's
 grid position (pattern A recentered on the left neighbor's vector for
@@ -16,7 +16,7 @@ Particle state is continuous; positions are rounded (half away from zero)
 and clamped to the frame-legal box only when a cost is evaluated. There is
 no search-window restriction beyond frame legality.
 
-Randomness: one PCG64 stream per frame pair, held by `estimate` and drawn
+Randomness: one PCG64 stream per frame pair, built by `search` and drawn
 after prejudgment as one (moving blocks, iterations, particles, 2, 2) batch,
 blocks in raster order; each particle takes four uniforms per iteration in
 the fixed order (r1 for x, r2 for x, r1 for y, r2 for y), particles in index
@@ -198,6 +198,22 @@ def column_search(
         return pair.rank(rows_of, q)
 
     return _swarm(rank, pair.keys, starts, seeds, lo, hi, config, r)
+
+
+def search(pair: PairCost, moving: np.ndarray, vectors: np.ndarray, config: PsoConfig, seed: int) -> None:
+    """The swarm on one frame pair's moving blocks (raster indices, ascending):
+    draws the pair's stream, then runs column_search on each column that holds
+    one, left to right, each reading its left neighbors' vectors from `vectors`
+    ((blocks, 2), raster order; (0, 0) in column 0) and writing its own there."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    r = rng.random((moving.size, config.iterations, config.particles, 2, 2))
+    column = moving % pair.grid.cols
+    for col in sorted(set(column.tolist())):
+        rank = np.flatnonzero(column == col)
+        blocks = moving[rank]
+        left = vectors[blocks - 1] if col else np.zeros_like(vectors[blocks])
+        # looked up at call time, so a wrapper around the module attribute sees every column
+        vectors[blocks] = column_search(pair, blocks, left, config, r[rank])
 
 
 def pso_match(

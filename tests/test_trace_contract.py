@@ -1,11 +1,13 @@
 """The benchmark's tracer (benchmarks/tracing.py) wraps mebench names and reads
 memo hits off BlockCost.__call__. A renamed target, ES or ARPS no longer
-calling __call__, or `estimate` binding the swarm's column step at import
-time (so a wrapped module attribute is never called) turns its per-layer
-metrics into null or zero; these tests catch all three. They also hold
-`estimate` to prejudging a whole frame before building any per-block cost
-oracle, and the package's `__all__` to names that exist: exactly the
-README's library and the names the acceptance gate imports from mebench."""
+calling __call__, or the swarm binding its column step at import time (so a
+wrapped module attribute is never called) turns its per-layer metrics into
+null or zero; these tests catch all three. They also hold `estimate` to
+prejudging a whole frame before building any per-block cost oracle, the
+package's `__all__` to names that exist: exactly the README's library and the
+names the acceptance gate imports from mebench, and each engine to its own
+state: only EvalCounter touches its ledger, and only pso.py builds a random
+stream."""
 
 from __future__ import annotations
 
@@ -144,3 +146,17 @@ def test_root_exports_the_readme_library_and_the_acceptance_gate_imports():
     assert _readme_root_names("Acceptance-gate helpers**") == gate - library
     public = {n for n, v in vars(mebench).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set(mebench.__all__)
+
+
+def test_each_engine_owns_its_state():
+    # EvalCounter's pending box and dict are read through memo, record_box and
+    # evals; the swarm's per-pair stream is built by pso.search
+    strays = []
+    for path in sorted((REPO / "src" / "mebench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        ledger = {id(n) for c in ast.walk(tree) if getattr(c, "name", None) == "EvalCounter" for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("_memo", "_box") and id(node) not in ledger or name == "PCG64" and path.name != "pso.py":
+                strays.append(f"{path.name}:{node.lineno} {name}")
+    assert strays == []

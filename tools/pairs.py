@@ -48,17 +48,16 @@ WALL = re.compile(r"wall pairs_per_s median (\S+), host speed median (\S+) ")
 
 
 def checkout(ref: str, scratch: Path) -> Path:
-    """The directory of `ref`: itself when it is one, else an export of the
-    git revision into `scratch`."""
+    """The directory of `ref`: itself when it is one, else `scratch`, a new
+    directory that an export of the git revision fills."""
     if Path(ref).is_dir():
         return Path(ref).resolve()
     git = ["git", "archive", ref]
     archive = subprocess.run(git, cwd=ROOT, capture_output=True, check=True).stdout
-    target = scratch / ref.replace("/", "_").replace("~", "_").replace("^", "_")
-    target.mkdir(parents=True)
+    scratch.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(target, filter="data")
-    return target
+        tar.extractall(scratch, filter="data")
+    return scratch
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
