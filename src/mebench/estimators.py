@@ -16,7 +16,8 @@ and then each unit rood one point at a time, in one loop. DS, whose blocks
 are independent, walks every moving block's diamond in lockstep. The swarm
 (pso.search) draws the pair's stream and runs one grid column at a time,
 each column's vectors written to the field before the next reads them. Both
-score through one PairCost per frame pair. Every memo counts a revisited
+score through one PairCost per frame pair. Every oracle of a pair reads one
+anchor_windows view, built once a block moves. Every memo counts a revisited
 displacement once and keeps its first-query order, and ties are broken
 uniformly by candidate_key (center-biased, then raster order).
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, check_integer
-from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, candidate_key, sad_sums
+from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, anchor_windows, candidate_key, sad_sums
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
@@ -244,11 +245,14 @@ def estimate(
         ]
     moving = np.flatnonzero(~field.static_flags.ravel())
     vectors, evals = field.vectors.reshape(-1, 2), field.evals_per_block.reshape(-1)  # by raster index
+    if not moving.size:
+        return field
+    windows = anchor_windows(anc, config.block_size)  # one view per pair, read by every oracle
 
     if algorithm in ("es", "arps"):
         for index in moving.tolist():
             counter = EvalCounter({} if colocated is None else {(0, 0): int(colocated[index])})
-            cost = BlockCost(anc, tgt, block_origin(grid, index), config.block_size, counter, window)
+            cost = BlockCost(windows, tgt, block_origin(grid, index), config.block_size, counter, window)
             if algorithm == "es":
                 vectors[index] = es_search(cost)
             else:  # a block's one link to the field: its left neighbor's vector
@@ -259,9 +263,7 @@ def estimate(
                 field.memos[index] = counter.memo
         return field
 
-    if not moving.size:
-        return field
-    pair = PairCost(anc, tgt, grid)
+    pair = PairCost(windows, tgt, grid)
     if algorithm == "ds":
         vectors[moving] = ds_lockstep(pair, moving, p)
     else:

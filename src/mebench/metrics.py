@@ -2,17 +2,17 @@
 
 BlockCost is the memoized per-block cost oracle: ARPS queries it one
 displacement at a time, and ES scores its whole window in one array op
-(box_sums). EvalCounter is the block's ledger: it counts a scored window as
-a pending box and merges the box into its memo only when the memo is read,
-so a run that keeps no memos builds none of their entries. PairCost scores
-many (block, displacement) pairs of one frame pair in one gather, for the
-lockstep diamond search and the column-wavefront swarm; its memo records
-the distinct ones. candidate_key is the one order on candidates: ES and
-ARPS compare its tuples, and CandidateKeys ranks the array paths'
-candidates as int64 keys that order exactly as it does. sad_sums is the
-one place where a strided window difference is reduced: ES's window
-(box_sums), the pair gather (PairCost.rank) and `estimate`'s prejudgment
-all sum through it.
+(box_sums), both reading one anchor_windows view per frame pair, as PairCost
+does. EvalCounter is the block's ledger: it counts a scored window as a
+pending box and merges the box into its memo only when the memo is read, so
+a run that keeps no memos builds none of their entries. PairCost scores many
+(block, displacement) pairs of one frame pair in one gather, for the
+lockstep diamond search and the column-wavefront swarm; its memo records the
+distinct ones. candidate_key is the one order on candidates: ES and ARPS
+compare its tuples, and CandidateKeys ranks the array paths' candidates as
+int64 keys that order exactly as it does. sad_sums is the one place where a
+strided window difference is reduced: ES's window (box_sums), the pair
+gather (PairCost.rank) and `estimate`'s prejudgment all sum through it.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -24,7 +24,7 @@ it in one array op, so static blocks never reach a cost oracle.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import MotionVector, displacement_bounds
 from .video_io import Frame, Sequence
@@ -32,6 +32,11 @@ from .video_io import Frame, Sequence
 # Reported in place of an infinite PSNR (zero MSE); far above the ~40 dB
 # "excellent" band, so averages are not distorted.
 PSNR_CAP_DB = 100.0
+
+
+def anchor_windows(anchor: np.ndarray, block_size: int) -> np.ndarray:
+    """A plane's block windows as one read-only view, [y, x] the block at (x, y); a view passes as is."""
+    return anchor if anchor.ndim == 4 else sliding_window_view(anchor, (block_size, block_size))
 
 
 def sad_sum(a: np.ndarray, b: np.ndarray) -> int:
@@ -103,9 +108,9 @@ class BlockCost:
     """Memoized cost oracle d -> raw SAD sum for one target block.
 
     anchor/target are full-frame signed integer arrays (int16 holds every
-    difference of two 8-bit pixels); origin is the block's top-left
-    corner in the target frame. Candidate blocks are read from the anchor at
-    origin + d. `bounds`, the one box of legal queries, is the frame's
+    difference of two 8-bit pixels), the anchor maybe as its anchor_windows
+    view; origin is the block's top-left corner, and d reads the anchor window
+    at origin + d. `bounds`, the one box of legal queries, is the frame's
     (displacement_bounds) cut to an optional window (dx_min, dx_max, dy_min,
     dy_max); `legal` is the one test against it, and a query it refuses raises.
     A query reads and fills counter.memo, so a pending box is merged first."""
@@ -121,11 +126,11 @@ class BlockCost:
     ):
         self.x, self.y = origin
         self.block_size = block_size
-        self.anchor = anchor
+        self.windows = anchor_windows(anchor, block_size)
         self.tgt = target[self.y : self.y + block_size, self.x : self.x + block_size]
         self.counter = counter
-        h, w = anchor.shape
-        dx_min, dx_max, dy_min, dy_max = displacement_bounds(w, h, origin, block_size)
+        self.height, self.width = target.shape
+        dx_min, dx_max, dy_min, dy_max = displacement_bounds(self.width, self.height, origin, block_size)
         if window is not None:
             dx_min, dx_max = max(dx_min, window[0]), min(dx_max, window[1])
             dy_min, dy_max = max(dy_min, window[2]), min(dy_max, window[3])
@@ -144,9 +149,7 @@ class BlockCost:
                     f"displacement {d} leaves the frame or the window of block at ({self.x},{self.y}), "
                     f"box {self.bounds}"
                 )
-            bs = self.block_size
-            cx, cy = self.x + d[0], self.y + d[1]
-            c = int(np.abs(self.tgt - self.anchor[cy : cy + bs, cx : cx + bs]).sum())
+            c = int(np.abs(self.tgt - self.windows[self.y + d[1], self.x + d[0]]).sum())
             memo[d] = c
         return c
 
@@ -156,13 +159,8 @@ class BlockCost:
         as one evaluation, as if each had been queried; the counter records
         the box and merges it into its memo when the memo is read."""
         dx_min, dx_max, dy_min, dy_max = self.bounds
-        bs = self.block_size
-        region = self.anchor[
-            self.y + dy_min : self.y + dy_max + bs, self.x + dx_min : self.x + dx_max + bs
-        ]
-        # window [i, j] is region[i : i + bs, j : j + bs]: one view, no copy
-        shape = (dy_max - dy_min + 1, dx_max - dx_min + 1, bs, bs)
-        sums = sad_sums(as_strided(region, shape, region.strides * 2, writeable=False), self.tgt)
+        x, y = self.x, self.y
+        sums = sad_sums(self.windows[y + dy_min : y + dy_max + 1, x + dx_min : x + dx_max + 1], self.tgt)
         sums.flags.writeable = False
         self.counter.record_box(self.bounds, sums)
         return sums
@@ -236,22 +234,22 @@ class CandidateKeys:
 class PairCost:
     """Costs of many (block, displacement) pairs of one frame pair.
 
-    anchor/target are the pair's int16 frames and grid their block tiling.
-    `rank` takes block indices (raster order) and frame-legal displacements,
-    arrays that broadcast together, scores every pair, repeats included, in
-    one gather (sad_sums) from a sliding-window view of the anchor, and
-    returns their candidate keys. The memo is a record that rank never reads:
-    one dict of every distinct cost under block * area + at (see CandidateKeys)
-    in first-query order, within a call in array order, so each block's
-    entries keep the order a BlockCost memo would give them.
+    anchor/target are the pair's int16 frames, the anchor maybe as its
+    anchor_windows view, and grid their block tiling. `rank` takes block indices
+    (raster order) and frame-legal displacements, arrays that broadcast
+    together, scores every pair, repeats included, in one gather (sad_sums) from
+    the anchor windows, and returns their candidate keys. The memo is a record
+    that rank never reads: one dict of every distinct cost under block * area +
+    at (see CandidateKeys) in first-query order, within a call in array order,
+    so each block's entries keep the order a BlockCost memo would give them.
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
         bs, rows, cols = grid.block_size, grid.rows, grid.cols
-        self.height, self.width = anchor.shape
+        self.height, self.width = target.shape
         self.grid = grid
         self.keys = CandidateKeys(self.width, self.height, bs)
-        self._windows = sliding_window_view(anchor, (bs, bs))
+        self._windows = anchor_windows(anchor, bs)
         self._tiles = grid.tiles(target).reshape(rows * cols, bs, bs)
         index = np.arange(rows * cols)
         self.x, self.y = index % cols * bs, index // cols * bs

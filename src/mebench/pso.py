@@ -236,14 +236,13 @@ def pso_match(
     state after the velocity/position update.
     """
     dx_min, dx_max, dy_min, dy_max = cost.bounds
-    h, w = cost.anchor.shape
     r = rng.random((1, config.iterations, config.particles, 2, 2))
 
-    keys = CandidateKeys(w, h, cost.block_size)
+    keys = CandidateKeys(cost.width, cost.height, cost.block_size)
 
     def rank(q):
         costs = np.array([[cost(d) for d in map(tuple, q[0].tolist())]], dtype=np.int64)
-        return keys.encode(costs, q, keys.at(cost.y * w + cost.x, q))
+        return keys.encode(costs, q, keys.at(cost.y * cost.width + cost.x, q))
 
     gbest = _swarm(
         rank,
