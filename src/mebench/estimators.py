@@ -247,7 +247,7 @@ def estimate(
     vectors, evals = field.vectors.reshape(-1, 2), field.evals_per_block.reshape(-1)  # by raster index
     if not moving.size:
         return field
-    windows = anchor_windows(anc, config.block_size)  # one view per pair, read by every oracle
+    windows = anchor_windows(anc, config.block_size)
 
     if algorithm in ("es", "arps"):
         for index in moving.tolist():

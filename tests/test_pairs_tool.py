@@ -180,6 +180,24 @@ def test_a_failed_run_keeps_its_summary_line_medians_when_it_printed_one(pairs, 
         assert "boom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("last", ["Traceback (most recent call last):", '["not", "an object"]'])
+def test_a_run_whose_last_line_is_no_json_object_fails_and_the_set_is_still_written(
+    pairs, monkeypatch, tmp_path, capsys, last
+):
+    def run(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, SUMMARY_LINE.format("w") + last + "\n", "stderr tail")
+
+    monkeypatch.setattr(pairs, "checkout", lambda ref, scratch: Path(ref))
+    monkeypatch.setattr(pairs, "subprocess", SimpleNamespace(run=run))
+    argv = ["--parent", "a", "--change", "b", "--pairs", "2", "--label", "t"]
+    assert pairs.main(argv + ["--workloads", "qcif-pan-es", "--out", str(tmp_path)]) == 1
+    assert "stderr tail" in capsys.readouterr().err
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [r["result"] for r in bench["runs"]] == [None] * 4
+    assert [r["wall_pairs_per_s"] for r in bench["runs"]] == [41.5] * 4
+    assert bench["summary"]["qcif-pan-es"]["pairs_per_s"] is None
+
+
 BENCH_FILES = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
 
 

@@ -40,7 +40,7 @@ from mebench import (
     sad_sum,
 )
 from mebench.blocks import displacement_bounds
-from mebench.metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost, candidate_key
+from mebench.metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost, anchor_windows, candidate_key
 
 CONTENT = ("noise", "flat", "two-level", "periodic")
 
@@ -229,9 +229,10 @@ def in_layout(a: np.ndarray, layout: str) -> np.ndarray:
     p=st.one_of(st.none(), st.integers(1, 8)),
     dtype=st.sampled_from([np.int16, np.int32]),
     layout=st.sampled_from(["C", "F", "strided"]),
+    windowed=st.booleans(),
     data=st.data(),
 )
-def test_es_equals_scalar_reference(pair, p, dtype, layout, data):
+def test_es_equals_scalar_reference(pair, p, dtype, layout, windowed, data):
     anchor, target, bs, _ = pair
     grid = BlockGrid.for_frame(Frame(anchor), bs)
     origin = block_origin(grid, data.draw(st.integers(0, grid.n_blocks - 1)))
@@ -240,6 +241,7 @@ def test_es_equals_scalar_reference(pair, p, dtype, layout, data):
     def make_cost():
         counter = EvalCounter()
         anc, tgt = (in_layout(a.astype(dtype), layout) for a in (anchor, target))
+        anc = anchor_windows(anc, bs) if windowed else anc  # the plane or the view estimate hands over
         return BlockCost(anc, tgt, origin, bs, counter, window), counter
 
     cost, counter = make_cost()

@@ -5,9 +5,9 @@ wrapped module attribute is never called) turns its per-layer metrics into
 null or zero; these tests catch all three. They also hold `estimate` to
 prejudging a whole frame before building any per-block cost oracle, the
 package's `__all__` to names that exist: exactly the README's library and the
-names the acceptance gate imports from mebench, and each engine to its own
+names the acceptance gate imports from mebench, each engine to its own
 state: only EvalCounter touches its ledger, and only pso.py builds a random
-stream."""
+stream, and every cost oracle of a frame pair to one anchor window view."""
 
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import mebench
-from mebench import EstimatorConfig, Frame, block_origin, estimate, pso
+from mebench import EstimatorConfig, Frame, block_origin, estimate, metrics, pso
+from mebench.estimators import ALGORITHMS
 from mebench.metrics import BlockCost
 
 from conftest import REPO, load_script, shifted_pair, smooth_texture
@@ -101,6 +102,60 @@ def test_static_blocks_build_no_cost_oracle(monkeypatch, algorithm):
         assert built == [block_origin(field.grid, i) for i in np.flatnonzero(~field.static_flags)]
     else:  # the swarm scores every block through the frame pair's PairCost
         assert built == []
+
+
+def record_window_views(monkeypatch) -> tuple[list, list]:
+    """(anchors handed to BlockCost, window views built), filled as estimate runs."""
+    init, build = BlockCost.__init__, metrics.sliding_window_view
+    anchors, views = [], []
+
+    def recorded(self, *args, **kwargs):
+        anchors.append(args[0])
+        init(self, *args, **kwargs)
+
+    def built(*args, **kwargs):
+        views.append(build(*args, **kwargs))
+        return views[-1]
+
+    monkeypatch.setattr(BlockCost, "__init__", recorded)
+    monkeypatch.setattr(metrics, "sliding_window_view", built)
+    return anchors, views
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_cost_oracle_of_a_pair_reads_one_window_view(monkeypatch, algorithm):
+    anchors, views = record_window_views(monkeypatch)
+    field = estimate(algorithm, *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8))
+    assert len(views) == 1
+    assert all(a is views[0] for a in anchors)
+    blocks = field.grid.n_blocks - field.static_count if algorithm in ("es", "arps") else 0
+    assert len(anchors) == blocks
+
+
+@pytest.mark.parametrize("algorithm", ["ds", "arps", "pso-zmp"])
+def test_an_all_static_pair_builds_no_window_view(monkeypatch, algorithm):
+    anchors, views = record_window_views(monkeypatch)
+    anchor, _ = static_and_patch_clip()
+    field = estimate(algorithm, anchor, anchor, EstimatorConfig(zmp_threshold=8, ds_zmp=True))
+    assert field.static_count == field.grid.n_blocks
+    assert anchors == views == []
+
+
+def test_one_helper_builds_the_anchor_window_views():
+    # metrics.anchor_windows is the one window view of the cost oracles; no
+    # module builds one by hand from strides
+    strays = []
+    for path in sorted((REPO / "src" / "mebench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "anchor_windows" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sliding_window_view"
+            if "as_strided" in (name, getattr(node, "name", None)):
+                strays.append(f"{path.name}:{node.lineno} as_strided")
+            elif call and path.name in ("metrics.py", "estimators.py") and id(node) not in helper:
+                strays.append(f"{path.name}:{node.lineno} sliding_window_view")
+    assert strays == []
 
 
 def test_arps_makes_memo_miss_calls_on_every_moving_block(monkeypatch):

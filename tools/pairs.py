@@ -62,18 +62,23 @@ def checkout(ref: str, scratch: Path) -> Path:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run in `tree`: the benchmark's result line (None when the run
-    failed), and the wall-clock pairs_per_s and host-speed medians of the
-    summary line printed before it (None when it printed none)."""
+    failed or its last line is no JSON object), and the wall-clock
+    pairs_per_s and host-speed medians of the summary line printed before it
+    (None when it printed none)."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    ok = proc.returncode == 0 and lines
-    if not ok:
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        result = None
         print(proc.stderr[-2000:], file=sys.stderr)
     medians = WALL.search(proc.stdout)
     wall, speed = map(float, medians.groups()) if medians else (None, None)
-    return {"result": json.loads(lines[-1]) if ok else None, "wall_pairs_per_s": wall, "host_speed": speed}
+    return {"result": result, "wall_pairs_per_s": wall, "host_speed": speed}
 
 
 def spread(values: list[float]) -> dict:
