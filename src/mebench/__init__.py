@@ -12,8 +12,7 @@ are imported from their modules.
 __version__ = "0.1.0"
 
 from .blocks import BlockGrid, block_origin, clamp_displacement
-from .compensate import compensate
-from .estimators import ALGORITHMS, EstimatorConfig, MotionField, es_search, estimate
+from .estimators import ALGORITHMS, EstimatorConfig, MotionField, compensate, es_search, estimate
 from .metrics import EvalCounter, frame_psnr, psnr, sad_at, sad_sum
 from .pso import PsoConfig, inertia_weight, init_pattern, pso_match
 from .video_io import Frame, Sequence, VideoFormatError, load_raw_yuv, load_y4m, read_pgm, write_pgm

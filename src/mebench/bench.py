@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .blocks import BlockGrid
-from .compensate import compensate
-from .estimators import ALGORITHMS, EstimatorConfig, MotionField, estimate
+from .estimators import ALGORITHMS, EstimatorConfig, MotionField, compensate, estimate
 from .metrics import PSNR_CAP_DB, frame_psnr
 from .pso import PsoConfig
 from .video_io import Sequence, load_raw_yuv, load_y4m, write_pgm

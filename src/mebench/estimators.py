@@ -1,6 +1,7 @@
-"""Block matchers (exhaustive, diamond and adaptive rood pattern search) and
+"""Block matchers (exhaustive, diamond and adaptive rood pattern search),
 `estimate`, the one raster driver that runs every matcher, the swarm search
-of pso.py included.
+of pso.py included, and `compensate`, which rebuilds the target frame from
+the anchor and the MotionField that `estimate` returns.
 
 The driver alone prejudges static blocks, as one frame-level op ahead of any
 search: every block's co-located raw sum against EstimatorConfig.static_cut,
@@ -19,7 +20,8 @@ each column's vectors written to the field before the next reads them. Both
 score through one PairCost per frame pair. Every oracle of a pair reads one
 anchor_windows view, built once a block moves. Every memo counts a revisited
 displacement once and keeps its first-query order, and ties are broken
-uniformly by candidate_key (center-biased, then raster order).
+uniformly by candidate_key (center-biased, then raster order). Compensation
+reads the anchor's blocks through the same anchor_windows helper.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pso as swarm
-from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, check_integer
+from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, check_integer, displacement_bounds
 from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, anchor_windows, candidate_key, sad_sums
 from .video_io import Frame
 
@@ -121,6 +123,36 @@ class MotionField:
     @property
     def static_count(self) -> int:
         return int(self.static_flags.sum())
+
+
+@dataclass(frozen=True)
+class CompensatedFrame:
+    frame: Frame
+
+
+def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
+    """Decoder-side reconstruction: copy each block from its displaced anchor
+    position; pixels outside the block tiling (right/bottom remainders) are
+    copied co-located."""
+    grid = field.grid
+    if grid != BlockGrid.for_frame(anchor, grid.block_size):
+        raise ValueError(
+            f"field holds {grid.cols}x{grid.rows} blocks of {grid.block_size}, "
+            f"which do not tile the {anchor.width}x{anchor.height} frame"
+        )
+    bs = grid.block_size
+    ys, xs = np.indices((grid.rows, grid.cols)) * bs
+    dx, dy = field.vectors[..., 0], field.vectors[..., 1]
+    dx_min, dx_max, dy_min, dy_max = displacement_bounds(anchor.width, anchor.height, (xs, ys), bs)
+    illegal = (dx < dx_min) | (dx > dx_max) | (dy < dy_min) | (dy > dy_max)
+    if illegal.any():
+        row, col = np.argwhere(illegal)[0]  # the first in raster order
+        raise ValueError(
+            f"block ({col},{row}) carries illegal vector ({dx[row, col]},{dy[row, col]})"
+        )
+    out = anchor.luma.copy()  # margins keep the co-located anchor pixels
+    grid.tiles(out)[...] = anchor_windows(anchor.luma, bs)[ys + dy, xs + dx]
+    return CompensatedFrame(Frame(out))
 
 
 def es_search(cost: BlockCost) -> MotionVector:

@@ -180,7 +180,10 @@ def test_a_failed_run_keeps_its_summary_line_medians_when_it_printed_one(pairs, 
         assert "boom" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("last", ["Traceback (most recent call last):", '["not", "an object"]'])
+@pytest.mark.parametrize(
+    "last",
+    ["Traceback (most recent call last):", '["not", "an object"]', '{"correct": true}', '{"correct": true, "metrics": {}}'],
+)
 def test_a_run_whose_last_line_is_no_json_object_fails_and_the_set_is_still_written(
     pairs, monkeypatch, tmp_path, capsys, last
 ):

@@ -142,18 +142,20 @@ def test_an_all_static_pair_builds_no_window_view(monkeypatch, algorithm):
 
 
 def test_one_helper_builds_the_anchor_window_views():
-    # metrics.anchor_windows is the one window view of the cost oracles; no
-    # module builds one by hand from strides
+    # metrics.anchor_windows builds every anchor window view in the package,
+    # for the cost oracles and compensate alike; no module builds one by hand
+    # from strides
     strays = []
     for path in sorted((REPO / "src" / "mebench").glob("*.py")):
         tree = ast.parse(path.read_text())
         helper = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "anchor_windows" for n in ast.walk(f)}
         for node in ast.walk(tree):
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sliding_window_view"
+            func = getattr(node, "func", None)  # a call's callee, by name or attribute
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if "as_strided" in (name, getattr(node, "name", None)):
                 strays.append(f"{path.name}:{node.lineno} as_strided")
-            elif call and path.name in ("metrics.py", "estimators.py") and id(node) not in helper:
+            elif callee == "sliding_window_view" and id(node) not in helper:
                 strays.append(f"{path.name}:{node.lineno} sliding_window_view")
     assert strays == []
 
@@ -201,6 +203,8 @@ def test_root_exports_the_readme_library_and_the_acceptance_gate_imports():
     assert _readme_root_names("Acceptance-gate helpers**") == gate - library
     public = {n for n, v in vars(mebench).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set(mebench.__all__)
+    # a root name that is also a module stem hides that module behind it
+    assert set(mebench.__all__).isdisjoint(p.stem for p in (REPO / "src" / "mebench").glob("*.py"))
 
 
 def test_each_engine_owns_its_state():

@@ -60,11 +60,18 @@ def checkout(ref: str, scratch: Path) -> Path:
     return scratch
 
 
+def end_to_end() -> dict[str, str]:
+    """BENCHMARK.json's end-to-end metrics, each with its better direction."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run in `tree`: the benchmark's result line (None when the run
-    failed or its last line is no JSON object), and the wall-clock
-    pairs_per_s and host-speed medians of the summary line printed before it
-    (None when it printed none)."""
+    failed, or its last line is no JSON object holding a value for every
+    end-to-end metric), and the wall-clock pairs_per_s and host-speed
+    medians of the summary line printed before it (None when it printed
+    none)."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -73,7 +80,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     except json.JSONDecodeError:
         result = None
-    if not isinstance(result, dict):
+    metrics = result.get("metrics") if isinstance(result, dict) else None
+    if not isinstance(metrics, dict) or not all(
+        isinstance(metrics.get(name), dict) and "value" in metrics[name] for name in end_to_end()
+    ):
         result = None
         print(proc.stderr[-2000:], file=sys.stderr)
     medians = WALL.search(proc.stdout)
@@ -152,13 +162,12 @@ def main(argv=None) -> int:
         # each side must run first equally often: the first run reads high
         p.error(f"--pairs must be 1 or even, got {args.pairs}")
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    known = [w["name"] for w in bench["workloads"]]
+    known = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else known
     unknown = [w for w in workloads if w not in known]
     if unknown:
         p.error(f"--workloads: unknown {', '.join(unknown)}; BENCHMARK.json names {', '.join(known)}")
-    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    directions = end_to_end()
     scratch = Path(tempfile.mkdtemp(prefix="mebench-pairs-"))
     try:
         trees = {side: checkout(getattr(args, side), scratch / side) for side in SIDES}
@@ -194,7 +203,7 @@ def main(argv=None) -> int:
     out = (args.out or ROOT) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
-    bad = [r for r in runs if r["result"] is None or r["result"]["correct"] is not True]
+    bad = [r for r in runs if r["result"] is None or r["result"].get("correct") is not True]
     return 1 if bad else 0
 
 
