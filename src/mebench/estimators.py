@@ -9,12 +9,14 @@ the one place the threshold is converted to raw-sum units. That sum is each
 block's first memo entry, one evaluation; static blocks stop there. The
 searches themselves only search; of the field they see only the left
 neighbor's vector (in column 0, None for ARPS and (0, 0) for the swarm), the
-one link between blocks. ES and ARPS search one block at a time through a
-memoized BlockCost; ES scores its whole window in one array op
-(BlockCost.box_sums) and counts every displacement in it, its memo entries
-built only when the memo is read (keep_memos), and ARPS scores its start set
-and then each unit rood one point at a time, in one loop. DS, whose blocks
-are independent, walks every moving block's diamond in lockstep. The swarm
+one link between blocks. ES searches one grid row at a time (es_row) by
+exact successive elimination: a lower bound from 2x2 partition sums rules
+out most of each window, and only the rest is scored. Each ES block still
+has a memoized BlockCost, whose counter counts every displacement of the
+window, its memo entries scored only when the memo is read (keep_memos).
+ARPS searches one block at a time through its BlockCost, scoring its start
+set and then each unit rood one point at a time, in one loop. DS, whose
+blocks are independent, walks every moving block's diamond in lockstep. The swarm
 (pso.search) draws the pair's stream and runs one grid column at a time,
 each column's vectors written to the field before the next reads them. Both
 score through one PairCost per frame pair. Every oracle of a pair reads one
@@ -32,7 +34,17 @@ import numpy as np
 
 from . import pso as swarm
 from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, check_integer, displacement_bounds
-from .metrics import INT64_MAX, BlockCost, EvalCounter, PairCost, anchor_windows, candidate_key, sad_sums
+from .metrics import (
+    INT64_MAX,
+    BlockCost,
+    CandidateKeys,
+    EvalCounter,
+    PairCost,
+    anchor_plane,
+    anchor_windows,
+    candidate_key,
+    sad_sums,
+)
 from .video_io import Frame
 
 ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
@@ -155,19 +167,99 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
     return CompensatedFrame(Frame(out))
 
 
+# The most anchor-window pixels one gather of ES survivors holds (512 KiB as
+# int16), besides holding no more candidates than the row's largest box.
+ES_GATHER_PIXELS = 1 << 18
+
+
+def _partition_sums(strip: np.ndarray, bs: int) -> np.ndarray:
+    """The sums of the 2x2 partition, split at bs // 2, of every bs x bs
+    window of the plane `strip`, from running sums down its columns and then
+    along its rows (one integral image): [column part, row part, window
+    column, window row]."""
+    cuts = (0, bs // 2, bs)
+    h, w = strip.shape
+    ny, nx = h - bs + 1, w - bs + 1
+    down = np.zeros((h + 1, w), dtype=np.int64)
+    np.cumsum(strip, axis=0, out=down[1:])
+    across = np.zeros((2, w + 1, ny), dtype=np.int64)  # [row part, column, window row]
+    for part, (top, bottom) in enumerate(zip(cuts, cuts[1:])):
+        np.subtract(down[bottom : bottom + ny].T, down[top : top + ny].T, out=across[part, 1:])
+    np.cumsum(across[:, 1:], axis=1, out=across[:, 1:])
+    sums = np.empty((2, 2, nx, ny), dtype=np.int64)
+    for part, (left, right) in enumerate(zip(cuts, cuts[1:])):
+        np.subtract(across[:, right : right + nx], across[:, left : left + nx], out=sums[part])
+    return sums
+
+
+def es_row(anchor: np.ndarray, costs: list[BlockCost]) -> np.ndarray:
+    """Exhaustive search of the blocks of one grid row by exact successive
+    elimination. `anchor` is the plane under the costs' one window view, and
+    the blocks' boxes share their dy range. Returns each box's candidate_key
+    minimum, (k, 2) as (dx, dy).
+
+    Each block first queries (0, 0) through BlockCost.__call__, which
+    wrappers of __call__ see as ES work, and its counter then records the
+    whole box, scored only if its memo is read. Over the 2x2 partition of a
+    block B and a window W, sum_q |sum(B_q) - sum(W_q)| never exceeds
+    SAD(B, W) (Li & Salari 1995; Gao, Duanmu & Zou 2000), so no candidate's
+    CandidateKeys key at its bound ranks after its key at its cost. The
+    exact cost at a block's lowest bound key gives an upper key; only the
+    candidates whose bound key does not rank after it can hold the minimum,
+    and only they are scored, by sad_sums on the window view, in gathers of
+    at most one box and ES_GATHER_PIXELS pixels.
+    """
+    for cost in costs:
+        cost((0, 0))
+        cost.counter.record_box(cost.bounds, cost.box_sums)
+    first, k = costs[0], len(costs)
+    windows, bs, width, y = first.windows, first.block_size, first.width, first.y
+    keys = CandidateKeys(width, first.height, bs)
+    x = np.array([c.x for c in costs])
+    dx_min, dx_max, dy_min, dy_max = np.array([c.bounds for c in costs]).T
+    tiles = np.stack([c.tgt for c in costs])
+    # A block's candidates are w window-origin columns holding its dx range,
+    # within the frame, by every dy of the row: [block, column, dy], where
+    # ties holds each one's key at zero cost.
+    w = int((dx_max - dx_min).max()) + 1
+    cols = np.minimum(x + dx_min, width - bs + 1 - w)[:, None] + np.arange(w)
+    dx, dy = cols - x[:, None], np.arange(dy_min[0], dy_max[0] + 1)
+    ties = keys.ties(np.abs(dx)[:, :, None] + np.abs(dy), (y + dy) * width + cols[:, :, None])
+    box = ties[0].size
+    # every candidate's key at its bound, from the strip of anchor rows the row reaches
+    cuts = [0, bs // 2]
+    parts = np.add.reduceat(np.add.reduceat(tiles, cuts, axis=2, dtype=np.int64), cuts, axis=1)
+    gap = np.take(_partition_sums(anchor[y + dy[0] : y + dy[-1] + bs], bs), cols, axis=2)
+    gap -= parts.transpose(2, 1, 0)[..., None, None]
+    np.abs(gap, out=gap)
+    bound = gap.reshape(4, -1).sum(0).reshape(ties.shape)
+    del gap
+    bound *= keys.unit
+    bound += ties
+    bound[(dx < dx_min[:, None]) | (dx > dx_max[:, None])] = INT64_MAX
+    # each block's upper key, and the candidates whose bound key does not rank after it
+    lowest = ties.reshape(k, box)[np.arange(k), bound.reshape(k, box).argmin(1)]
+    row, col = np.divmod(lowest % keys.area, width)
+    upper = sad_sums(windows[row, col], tiles) * keys.unit + lowest
+    survivors = np.flatnonzero(bound <= upper[:, None, None])
+    del bound
+    ranked = ties.ravel()[survivors]
+    step = max(1, min(box, ES_GATHER_PIXELS // (bs * bs)))
+    for lo in range(0, len(ranked), step):
+        tie = ranked[lo : lo + step]
+        row, col = np.divmod(tie % keys.area, width)
+        tie += sad_sums(windows[row, col], tiles[survivors[lo : lo + step] // box]) * keys.unit
+    # every block keeps its lowest-bound candidate, so each has a first survivor
+    best = np.minimum.reduceat(ranked, np.searchsorted(survivors, np.arange(k) * box))
+    row, col = np.divmod(best % keys.area, width)
+    return np.stack((col - x, row - y), axis=1)
+
+
 def es_search(cost: BlockCost) -> MotionVector:
-    """Exhaustive scan of every legal displacement in the cost's window: all
-    sums in one op, then candidate_key over the displacements tied at the
-    minimum."""
-    # The co-located point goes through BlockCost.__call__ like every other
-    # matcher's first query, so wrappers around __call__ still see ES work.
-    cost((0, 0))
-    sums = cost.box_sums()
-    dx_min, _, dy_min, _ = cost.bounds
-    best = int(sums.min())
-    ys, xs = np.nonzero(sums == best)
-    ties = [(int(x) + dx_min, int(y) + dy_min) for y, x in zip(ys, xs)]
-    return min(ties, key=lambda d: candidate_key(best, d))
+    """Exhaustive scan of every legal displacement in the cost's window:
+    es_row's one-block case, on the plane under the cost's window view."""
+    (dx, dy), = es_row(anchor_plane(cost.windows), [cost]).tolist()
+    return (dx, dy)
 
 
 def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern):
@@ -281,15 +373,27 @@ def estimate(
         return field
     windows = anchor_windows(anc, config.block_size)
 
-    if algorithm in ("es", "arps"):
+    if algorithm == "es":  # ES prejudges nothing, so every block moves
+        for start in range(0, grid.n_blocks, grid.cols):
+            row = range(start, start + grid.cols)
+            costs = [
+                BlockCost(windows, tgt, block_origin(grid, index), config.block_size, EvalCounter(), window)
+                for index in row
+            ]
+            vectors[row.start : row.stop] = es_row(anc, costs)
+            for index, cost in zip(row, costs):
+                evals[index] = cost.counter.evals
+                if keep_memos:
+                    field.memos[index] = cost.counter.memo
+        return field
+
+    if algorithm == "arps":
         for index in moving.tolist():
             counter = EvalCounter({} if colocated is None else {(0, 0): int(colocated[index])})
             cost = BlockCost(windows, tgt, block_origin(grid, index), config.block_size, counter, window)
-            if algorithm == "es":
-                vectors[index] = es_search(cost)
-            else:  # a block's one link to the field: its left neighbor's vector
-                left = tuple(vectors[index - 1].tolist()) if index % grid.cols else None
-                vectors[index] = arps_search(cost, left)
+            # a block's one link to the field: its left neighbor's vector
+            left = tuple(vectors[index - 1].tolist()) if index % grid.cols else None
+            vectors[index] = arps_search(cost, left)
             evals[index] = counter.evals
             if keep_memos:
                 field.memos[index] = counter.memo

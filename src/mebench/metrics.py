@@ -1,18 +1,20 @@
 """Matching cost and reconstruction quality metrics.
 
 BlockCost is the memoized per-block cost oracle: ARPS queries it one
-displacement at a time, and ES scores its whole window in one array op
-(box_sums), both reading one anchor_windows view per frame pair, as PairCost
-does. EvalCounter is the block's ledger: it counts a scored window as a
-pending box and merges the box into its memo only when the memo is read, so
-a run that keeps no memos builds none of their entries. PairCost scores many
-(block, displacement) pairs of one frame pair in one gather, for the
-lockstep diamond search and the column-wavefront swarm; its memo records the
-distinct ones. candidate_key is the one order on candidates: ES and ARPS
-compare its tuples, and CandidateKeys ranks the array paths' candidates as
-int64 keys that order exactly as it does. sad_sums is the one place where a
-strided window difference is reduced: ES's window (box_sums), the pair
-gather (PairCost.rank) and `estimate`'s prejudgment all sum through it.
+displacement at a time, and ES queries its co-located point and records its
+whole window, every oracle reading one anchor_windows view per frame pair, as
+PairCost does; anchor_plane inverts that view. EvalCounter is the block's
+ledger: it counts a recorded window as a pending box and scores it into its
+memo (BlockCost.box_sums) only when the memo is read, so a run that keeps no
+memos scores and builds none of their entries. PairCost scores many (block,
+displacement) pairs of one frame pair in one gather, for the lockstep
+diamond search and the column-wavefront swarm; its memo records the distinct
+ones. candidate_key is the one order on candidates: ARPS compares its
+tuples, and CandidateKeys ranks the array paths' candidates, ES's included,
+as int64 keys that order exactly as it does. sad_sums is the one place where
+a strided window difference is reduced: ES's survivors and pending boxes,
+the pair gather (PairCost.rank) and `estimate`'s prejudgment all sum
+through it.
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -22,6 +24,9 @@ it in one array op, so static blocks never reach a cost oracle.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +42,16 @@ PSNR_CAP_DB = 100.0
 def anchor_windows(anchor: np.ndarray, block_size: int) -> np.ndarray:
     """A plane's block windows as one read-only view, [y, x] the block at (x, y); a view passes as is."""
     return anchor if anchor.ndim == 4 else sliding_window_view(anchor, (block_size, block_size))
+
+
+def anchor_plane(windows: np.ndarray) -> np.ndarray:
+    """The plane an anchor_windows view was built from, in four slices: every
+    window's top-left pixel, the last column's right edge, the last row's
+    bottom edge and the last window's bottom-right corner."""
+    return np.block([
+        [windows[:, :, 0, 0], windows[:, -1, 0, 1:]],
+        [windows[-1, :, 1:, 0].T, windows[-1, -1, 1:, 1:]],
+    ])
 
 
 def sad_sum(a: np.ndarray, b: np.ndarray) -> int:
@@ -68,40 +83,45 @@ class EvalCounter:
     memo maps each clamped displacement to its raw SAD sum; re-querying a
     memoized displacement is free and does not count as new work. A given
     memo dict is used in place, entries already in it included, but a box
-    that BlockCost.box_sums scored whole reaches it only through memo: the
-    box is kept pending as (bounds, sums) and merged the first time memo is
-    read, after the entries already there (a key already present keeps its
-    place), in (dy, dx) raster order. evals counts the distinct
-    displacements without merging.
+    whose every displacement is counted at once (record_box) reaches it only
+    through memo: the box is kept pending as (bounds, scorer) and scored and
+    merged the first time memo is read, after the entries already there (a
+    key already present keeps its place), in (dy, dx) raster order. evals
+    counts the distinct displacements without scoring the box.
+
+    While no box is pending, memo is a plain instance attribute, read with no
+    call; record_box drops it, and the next read merges the box and sets it
+    again (the functools.cached_property pattern).
     """
 
     def __init__(self, memo: dict[MotionVector, int] | None = None):
         self._memo: dict[MotionVector, int] = {} if memo is None else memo
-        self._box: tuple[tuple[int, int, int, int], np.ndarray] | None = None
+        self._box: tuple[tuple[int, int, int, int], Callable[[], np.ndarray]] | None = None
+        self.memo = self._memo
 
-    @property
+    @cached_property
     def memo(self) -> dict[MotionVector, int]:
-        if self._box is not None:
-            (dx_min, dx_max, dy_min, dy_max), sums = self._box
-            self._box = None
-            dxs = range(dx_min, dx_max + 1)
-            keys = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs)
-            self._memo.update(zip(keys, sums.ravel().tolist()))
+        (dx_min, dx_max, dy_min, dy_max), scorer = self._box
+        self._box = None
+        dxs = range(dx_min, dx_max + 1)
+        keys = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs)
+        self._memo.update(zip(keys, scorer().ravel().tolist()))
         return self._memo
 
-    def record_box(self, bounds: tuple[int, int, int, int], sums: np.ndarray) -> None:
-        """Count every displacement in the box `bounds` as evaluated, with
-        `sums` its (dy, dx) array of raw costs, merged into memo on read."""
+    def record_box(self, bounds: tuple[int, int, int, int], scorer: Callable[[], np.ndarray]) -> None:
+        """Count every displacement in the box `bounds` as evaluated; `scorer`
+        returns their (dy, dx) array of raw costs when memo is read."""
         self.memo  # a pending box merges first, so memo order stays query order
-        self._box = (bounds, sums)
+        del self.memo
+        self._box = (bounds, scorer)
 
     @property
     def evals(self) -> int:
         if self._box is None:
             return len(self._memo)
-        (dx_min, dx_max, dy_min, dy_max), sums = self._box
+        dx_min, dx_max, dy_min, dy_max = self._box[0]
         inside = sum(dx_min <= dx <= dx_max and dy_min <= dy <= dy_max for dx, dy in self._memo)
-        return len(self._memo) + sums.size - inside
+        return len(self._memo) + (dx_max - dx_min + 1) * (dy_max - dy_min + 1) - inside
 
 
 class BlockCost:
@@ -154,16 +174,12 @@ class BlockCost:
         return c
 
     def box_sums(self) -> np.ndarray:
-        """Raw SAD sum of every displacement in `bounds`, as a read-only (dy,
-        dx) array whose [0, 0] is (dx_min, dy_min). Every displacement counts
-        as one evaluation, as if each had been queried; the counter records
-        the box and merges it into its memo when the memo is read."""
+        """Raw SAD sum of every displacement in `bounds`, as a (dy, dx) array
+        whose [0, 0] is (dx_min, dy_min): the scorer of the box that ES
+        records in the counter, called when the memo is read."""
         dx_min, dx_max, dy_min, dy_max = self.bounds
         x, y = self.x, self.y
-        sums = sad_sums(self.windows[y + dy_min : y + dy_max + 1, x + dx_min : x + dx_max + 1], self.tgt)
-        sums.flags.writeable = False
-        self.counter.record_box(self.bounds, sums)
-        return sums
+        return sad_sums(self.windows[y + dy_min : y + dy_max + 1, x + dx_min : x + dx_max + 1], self.tgt)
 
 
 def sad_at(
@@ -208,6 +224,7 @@ class CandidateKeys:
     def __init__(self, width: int, height: int, block_size: int):
         self.width, self.area = width, width * height
         self.l1_span = (width - block_size) + (height - block_size) + 1
+        self.unit = self.l1_span * self.area  # one unit of cost in key units
         self._step = np.array([1, width])  # d @ _step is dy * width + dx
         blocks = (width // block_size) * (height // block_size)
         if max((255 * block_size * block_size + 1) * self.l1_span, blocks) * self.area > INT64_MAX:
@@ -224,11 +241,16 @@ class CandidateKeys:
     def encode(self, costs, d, at):
         """Keys of the candidates with raw costs `costs`, displacements d
         (..., 2) and anchor windows `at`, elementwise."""
-        return (costs * self.l1_span + np.abs(d).sum(-1)) * self.area + at
+        return costs * self.unit + self.ties(np.abs(d).sum(-1), at)
+
+    def ties(self, l1, at):
+        """The keys at zero cost of candidates with |dx| + |dy| = l1 reading
+        anchor windows `at`: a key is its cost times `unit` plus this."""
+        return l1 * self.area + at
 
     def cost(self, key) -> int:
         """The raw cost a key was encoded from."""
-        return int(key) // (self.l1_span * self.area)
+        return int(key) // self.unit
 
 
 class PairCost:

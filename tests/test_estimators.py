@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from mebench import (
     block_origin,
     es_search,
     estimate,
+    estimators,
 )
 from mebench.estimators import arps_search
 
-from conftest import make_cost, noise_frame, shifted_pair, smooth_texture
+from conftest import load_script, make_cost, noise_frame, shifted_pair, smooth_texture
 
 
 def brute_force_best(anchor, target, origin, p, block_size=16):
@@ -105,6 +107,47 @@ def test_es_matches_brute_force_oracle():
             oracle_cost, oracle_mv = brute_force_best(anchor, target, origin, p=5)
             assert cost(mv) == oracle_cost
             assert mv == oracle_mv
+
+
+def test_es_scores_few_of_its_candidates_on_a_pan(monkeypatch):
+    # The bound rules out most of each window on natural motion: on the
+    # first pair of the benchmark's seed-0 pan clip the engine computes the
+    # exact SAD of about 12% of the candidates it counts. A slide back to
+    # scoring whole windows would read 100%.
+    frames = load_script("benchmarks/clips.py", "mebench_bench_clips", monkeypatch).pan_frames(0)
+    sad_sums, scored = estimators.sad_sums, []
+
+    def counted(a, b):
+        sums = sad_sums(a, b)
+        scored.append(sums.size)
+        return sums
+
+    monkeypatch.setattr(estimators, "sad_sums", counted)
+    field = estimate("es", Frame(frames[0]), Frame(frames[1]), EstimatorConfig(search_param=7))
+    assert field.total_evals == 18271  # the 15x15 window of every block, cut at the frame edge
+    assert sum(scored) < 0.25 * field.total_evals, sum(scored)
+
+
+# (name, anchor, target, search_param, tracemalloc peak allowed in MiB): twice
+# the peak of the per-block full-window search on each pair (10.5-10.6 MiB,
+# 10.5 MiB and 3.9 MiB). Past the frame's larger side, every block's window
+# is the whole frame box.
+ES_MEMORY_CASES = [
+    ("flat QCIF, whole frame", Frame(np.full((144, 176), 77, np.uint8)), Frame(np.full((144, 176), 77, np.uint8)), 176, 21),
+    ("noise QCIF, whole frame", noise_frame(144, 176, 30), noise_frame(144, 176, 31), 176, 21),
+    ("noise 1280x720, p=7", noise_frame(720, 1280, 32), noise_frame(720, 1280, 33), 7, 8),
+]
+
+
+@pytest.mark.parametrize("name, anchor, target, p, limit", ES_MEMORY_CASES, ids=[c[0] for c in ES_MEMORY_CASES])
+def test_es_memory_peak(name, anchor, target, p, limit):
+    tracemalloc.start()
+    try:
+        estimate("es", anchor, target, EstimatorConfig(search_param=p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2**20, peak / 2**20
 
 
 def test_ds_stationary_block_13_evals():

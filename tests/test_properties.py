@@ -1,7 +1,10 @@
 """Differential properties of the array fast paths against small scalar
-references: ES's one-op window (BlockCost.box_sums) against a raster scan of
-single BlockCost queries, alone and inside `estimate`, EvalCounter's pending
-box against a memo filled eagerly in query order, and DS and ARPS inside
+references: ES's elimination engine (es_row) against a raster scan of single
+BlockCost queries, alone (es_search) and inside `estimate`, on short and tall
+frames, at windows up to past the frame's larger side and on tie-heavy frames
+where the tie-break decides, anchor_plane against the plane its window view
+was built from, EvalCounter's pending box against a memo filled eagerly in
+query order, and DS and ARPS inside
 `estimate` against plain pattern walks (same vectors, same memo order), the
 whole-swarm array update of pso_match against the per-particle, per-dimension loop it replaced (alone,
 and inside `estimate` with the start rule and one stream per pair), and
@@ -40,7 +43,15 @@ from mebench import (
     sad_sum,
 )
 from mebench.blocks import displacement_bounds
-from mebench.metrics import INT64_MAX, BlockCost, CandidateKeys, PairCost, anchor_windows, candidate_key
+from mebench.metrics import (
+    INT64_MAX,
+    BlockCost,
+    CandidateKeys,
+    PairCost,
+    anchor_plane,
+    anchor_windows,
+    candidate_key,
+)
 
 CONTENT = ("noise", "flat", "two-level", "periodic")
 
@@ -60,13 +71,15 @@ def _luma(rng, h: int, w: int, content: str) -> np.ndarray:
 
 
 @st.composite
-def frame_pairs(draw, max_blocks=None):
+def frame_pairs(draw, max_blocks=None, tall=False):
     """(anchor luma, target luma, block size, rng) with at least one block,
-    and at most max_blocks block rows and columns when it is given."""
-    bs = draw(st.integers(2, 16))
+    and at most max_blocks block rows and columns when it is given. A tall
+    pair has 6 to 8 rows of at most two blocks, each at most 6 pixels wide,
+    so that a scalar scan of its whole frame stays quick."""
+    bs = draw(st.integers(2, 6 if tall else 16))
     top = 3 * bs + 5 if max_blocks is None else (max_blocks + 1) * bs - 1
-    h = draw(st.integers(bs, top))
-    w = draw(st.integers(bs, top))
+    h = draw(st.integers(6 * bs, 9 * bs - 1) if tall else st.integers(bs, top))
+    w = draw(st.integers(bs, 3 * bs - 1) if tall else st.integers(bs, top))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     anchor = _luma(rng, h, w, draw(st.sampled_from(CONTENT)))
     if draw(st.booleans()):
@@ -223,19 +236,32 @@ def in_layout(a: np.ndarray, layout: str) -> np.ndarray:
     return view
 
 
-@settings(max_examples=150, deadline=None)
+def search_params(frame: np.ndarray):
+    """A search range for ES and the pattern searches on `frame`: small, or
+    at least the frame's larger side, where every block's box is the whole
+    frame box."""
+    side = max(frame.shape)
+    return st.one_of(st.integers(1, 8), st.integers(side, side + 8))
+
+
+# short frames of up to about four block rows, and tall ones of six to eight
+SHORT_OR_TALL = st.one_of(frame_pairs(), frame_pairs(tall=True))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    pair=frame_pairs(),
-    p=st.one_of(st.none(), st.integers(1, 8)),
+    pair=SHORT_OR_TALL,
+    whole=st.booleans(),
     dtype=st.sampled_from([np.int16, np.int32]),
     layout=st.sampled_from(["C", "F", "strided"]),
     windowed=st.booleans(),
     data=st.data(),
 )
-def test_es_equals_scalar_reference(pair, p, dtype, layout, windowed, data):
+def test_es_equals_scalar_reference(pair, whole, dtype, layout, windowed, data):
     anchor, target, bs, _ = pair
     grid = BlockGrid.for_frame(Frame(anchor), bs)
     origin = block_origin(grid, data.draw(st.integers(0, grid.n_blocks - 1)))
+    p = None if whole else data.draw(search_params(anchor))
     window = None if p is None else (-p, p, -p, p)  # None: the whole frame
 
     def make_cost():
@@ -275,10 +301,16 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
     memo = dict(expected)
     counter = EvalCounter(memo)
     # one ledger, two oracles: queries through the whole frame box also land
-    # outside the +-p box that box_sums scores
+    # outside the +-p box whose every displacement ES records at once
     whole = BlockCost(anc, tgt, origin, bs, counter)
     boxed = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
     dx_min, dx_max, dy_min, dy_max = whole.bounds
+    scored = []  # the boxes scored so far, each when the memo was read
+
+    def scorer():
+        scored.append(boxed.bounds)
+        return boxed.box_sums()
+
     query = st.tuples(st.integers(dx_min, dx_max), st.integers(dy_min, dy_max))
     for op in data.draw(st.lists(st.one_of(query, st.just("box"), st.just("evals")), max_size=24)):
         if op == "evals":
@@ -290,6 +322,9 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
                 for dx in range(bx_min, bx_max + 1):
                     assert sums[dy - by_min, dx - bx_min] == sad((dx, dy))
                     expected.setdefault((dx, dy), sad((dx, dy)))
+            before = len(scored)
+            counter.record_box(boxed.bounds, scorer)
+            assert len(scored) <= before + 1  # recording scores at most the box already pending
         else:
             assert whole(op) == sad(op)
             expected.setdefault(op, sad(op))
@@ -299,19 +334,20 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
     assert counter.evals == len(memo)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    pair=frame_pairs(),
+    pair=SHORT_OR_TALL,
     algorithm=st.sampled_from(["es", "ds", "arps"]),
-    p=st.integers(1, 8),
     threshold=st.one_of(st.just(0.0), st.floats(0, 64)),
     arps_raw_threshold=st.booleans(),
     ds_zmp=st.booleans(),
+    data=st.data(),
 )
 def test_pattern_searches_equal_scalar_references(
-    pair, algorithm, p, threshold, arps_raw_threshold, ds_zmp
+    pair, algorithm, threshold, arps_raw_threshold, ds_zmp, data
 ):
     anchor, target, bs, _ = pair
+    p = data.draw(search_params(anchor))
     config = EstimatorConfig(
         block_size=bs,
         search_param=p,
@@ -344,6 +380,48 @@ def test_pattern_searches_equal_scalar_references(
         assert field.vector(row, col) == expected
         assert list(memo.items()) == list(counter.memo.items())  # same points, same order
         assert field.evals_per_block[row, col] == counter.evals
+
+
+def reference_es_block(anc, tgt, bs, origin, p):
+    """The scalar ES of one block inside `estimate`: its first query (0, 0),
+    then every displacement of its window in raster order, each through
+    BlockCost.__call__; the vector and the counter it filled."""
+    counter = EvalCounter()
+    cost = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
+    dx_min, dx_max, dy_min, dy_max = cost.bounds
+    window = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
+    return reference_min(cost, [(0, 0), *window]), counter
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=SHORT_OR_TALL, content=st.sampled_from(["flat", "two-level"]), same=st.booleans(), data=st.data())
+def test_es_ties_at_windows_past_the_frame_equal_scalar_reference(pair, content, same, data):
+    # Every candidate of a flat pair costs the same, and a two-level pair
+    # repeats costs often, so the tie-break picks most vectors; a window past
+    # the frame's larger side gives every block the whole frame box.
+    _, _, bs, rng = pair
+    h, w = pair[0].shape
+    anchor = _luma(rng, h, w, content)
+    target = anchor if same else _luma(rng, h, w, content)
+    p = data.draw(st.integers(max(h, w), max(h, w) + 8))
+    config = EstimatorConfig(block_size=bs, search_param=p)
+    field = estimate("es", Frame(anchor), Frame(target), config, keep_memos=True)
+    anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
+    for index, memo in enumerate(field.memos):
+        row, col = divmod(index, field.grid.cols)
+        expected, counter = reference_es_block(anc, tgt, bs, block_origin(field.grid, index), p)
+        assert field.vector(row, col) == expected
+        assert list(memo.items()) == list(counter.memo.items())  # same points, same order
+        assert field.evals_per_block[row, col] == counter.evals
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=frame_pairs(), dtype=st.sampled_from([np.int16, np.int32]), layout=st.sampled_from(["C", "F", "strided"]))
+def test_anchor_plane_inverts_anchor_windows(pair, dtype, layout):
+    anchor, _, bs, _ = pair
+    plane = anchor_plane(anchor_windows(in_layout(anchor.astype(dtype), layout), bs))
+    assert plane.dtype == dtype
+    assert np.array_equal(plane, anchor)
 
 
 @st.composite
