@@ -16,14 +16,15 @@ has a memoized BlockCost, whose counter counts every displacement of the
 window, its memo entries scored only when the memo is read (keep_memos).
 ARPS searches one block at a time through its BlockCost, scoring its start
 set and then each unit rood one point at a time, in one loop. DS, whose
-blocks are independent, walks every moving block's diamond in lockstep. The swarm
-(pso.search) draws the pair's stream and runs one grid column at a time,
-each column's vectors written to the field before the next reads them. Both
-score through one PairCost per frame pair. Every oracle of a pair reads one
-anchor_windows view, built once a block moves. Every memo counts a revisited
-displacement once and keeps its first-query order, and ties are broken
-uniformly by candidate_key (center-biased, then raster order). Compensation
-reads the anchor's blocks through the same anchor_windows helper.
+blocks are independent, walks every moving block's diamond in lockstep. The
+swarm (pso.search) draws the pair's stream and runs one grid column at a
+time, each column's vectors written to the field before the next reads them.
+Both score through one PairCost per frame pair. Every oracle of a pair
+reads one anchor_windows view, built once a block moves. Every memo counts a
+revisited displacement once and keeps its first-query order, and ties are
+broken uniformly by candidate_key (center-biased, then raster order).
+Compensation reads the anchor's blocks through the same anchor_windows
+helper.
 """
 
 from __future__ import annotations
@@ -258,8 +259,7 @@ def es_row(anchor: np.ndarray, costs: list[BlockCost]) -> np.ndarray:
 def es_search(cost: BlockCost) -> MotionVector:
     """Exhaustive scan of every legal displacement in the cost's window:
     es_row's one-block case, on the plane under the cost's window view."""
-    (dx, dy), = es_row(anchor_plane(cost.windows), [cost]).tolist()
-    return (dx, dy)
+    return tuple(es_row(anchor_plane(cost.windows), [cost])[0].tolist())
 
 
 def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern):

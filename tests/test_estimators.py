@@ -128,19 +128,20 @@ def test_es_scores_few_of_its_candidates_on_a_pan(monkeypatch):
     assert sum(scored) < 0.25 * field.total_evals, sum(scored)
 
 
-# (name, anchor, target, search_param, tracemalloc peak allowed in MiB): twice
-# the peak of the per-block full-window search on each pair (10.5-10.6 MiB,
-# 10.5 MiB and 3.9 MiB). Past the frame's larger side, every block's window
-# is the whole frame box.
-ES_MEMORY_CASES = [
-    ("flat QCIF, whole frame", Frame(np.full((144, 176), 77, np.uint8)), Frame(np.full((144, 176), 77, np.uint8)), 176, 21),
-    ("noise QCIF, whole frame", noise_frame(144, 176, 30), noise_frame(144, 176, 31), 176, 21),
-    ("noise 1280x720, p=7", noise_frame(720, 1280, 32), noise_frame(720, 1280, 33), 7, 8),
-]
+# (anchor, target, search_param, tracemalloc peak allowed in MiB): twice the
+# peak of the per-block full-window search on each pair (10.5-10.6 MiB, 10.5
+# MiB and 3.9 MiB). Past the frame's larger side, every block's window is the
+# whole frame box.
+FLAT = Frame(np.full((144, 176), 77, np.uint8))
+ES_MEMORY_CASES = {
+    "flat QCIF, whole frame": (FLAT, FLAT, 176, 21),
+    "noise QCIF, whole frame": (noise_frame(144, 176, 30), noise_frame(144, 176, 31), 176, 21),
+    "noise 1280x720, p=7": (noise_frame(720, 1280, 32), noise_frame(720, 1280, 33), 7, 8),
+}
 
 
-@pytest.mark.parametrize("name, anchor, target, p, limit", ES_MEMORY_CASES, ids=[c[0] for c in ES_MEMORY_CASES])
-def test_es_memory_peak(name, anchor, target, p, limit):
+@pytest.mark.parametrize("anchor, target, p, limit", list(ES_MEMORY_CASES.values()), ids=list(ES_MEMORY_CASES))
+def test_es_memory_peak(anchor, target, p, limit):
     tracemalloc.start()
     try:
         estimate("es", anchor, target, EstimatorConfig(search_param=p))

@@ -2,19 +2,20 @@
 references: ES's elimination engine (es_row) against a raster scan of single
 BlockCost queries, alone (es_search) and inside `estimate`, on short and tall
 frames, at windows up to past the frame's larger side and on tie-heavy frames
-where the tie-break decides, anchor_plane against the plane its window view
-was built from, EvalCounter's pending box against a memo filled eagerly in
-query order, and DS and ARPS inside
-`estimate` against plain pattern walks (same vectors, same memo order), the
-whole-swarm array update of pso_match against the per-particle, per-dimension loop it replaced (alone,
-and inside `estimate` with the start rule and one stream per pair), and
-compensate's one gather against a per-block copy loop. Frames are random, flat or tie-heavy;
-windows are interior, edge-clipped and corner-clipped. Last, invariants of
-`estimate` for every algorithm: legal vectors and memo keys, evals == len(memo), the
-static-block prejudgment and the same field without memos, and that `estimate`
-gives the same field whatever the memory layout of its frames (ES's window is drawn in three layouts too).
-The int64 candidate keys of the array paths are held to candidate_key's
-order, and PairCost's memo to BlockCost's."""
+where the tie-break decides; anchor_plane against the plane its window view
+was built from; EvalCounter's pending box against a memo filled eagerly in
+query order; DS and ARPS inside `estimate` against plain pattern walks (same
+vectors, same memo order); the whole-swarm array update of pso_match against
+the per-particle, per-dimension loop it replaced (alone, and inside
+`estimate` with the start rule and one stream per pair); and compensate's
+one gather against a per-block copy loop. Frames are random, flat or
+tie-heavy; windows are interior, edge-clipped and corner-clipped. Last,
+invariants of `estimate` for every algorithm: legal vectors and memo keys,
+evals == len(memo), the static-block prejudgment and the same field without
+memos, and that `estimate` gives the same field whatever the memory layout
+of its frames (ES's window is drawn in three layouts too). The int64
+candidate keys of the array paths are held to candidate_key's order, and
+PairCost's memo to BlockCost's."""
 
 from __future__ import annotations
 
@@ -305,12 +306,6 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
     whole = BlockCost(anc, tgt, origin, bs, counter)
     boxed = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
     dx_min, dx_max, dy_min, dy_max = whole.bounds
-    scored = []  # the boxes scored so far, each when the memo was read
-
-    def scorer():
-        scored.append(boxed.bounds)
-        return boxed.box_sums()
-
     query = st.tuples(st.integers(dx_min, dx_max), st.integers(dy_min, dy_max))
     for op in data.draw(st.lists(st.one_of(query, st.just("box"), st.just("evals")), max_size=24)):
         if op == "evals":
@@ -322,9 +317,7 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
                 for dx in range(bx_min, bx_max + 1):
                     assert sums[dy - by_min, dx - bx_min] == sad((dx, dy))
                     expected.setdefault((dx, dy), sad((dx, dy)))
-            before = len(scored)
-            counter.record_box(boxed.bounds, scorer)
-            assert len(scored) <= before + 1  # recording scores at most the box already pending
+            counter.record_box(boxed.bounds, boxed.box_sums)
         else:
             assert whole(op) == sad(op)
             expected.setdefault(op, sad(op))
@@ -382,17 +375,6 @@ def test_pattern_searches_equal_scalar_references(
         assert field.evals_per_block[row, col] == counter.evals
 
 
-def reference_es_block(anc, tgt, bs, origin, p):
-    """The scalar ES of one block inside `estimate`: its first query (0, 0),
-    then every displacement of its window in raster order, each through
-    BlockCost.__call__; the vector and the counter it filled."""
-    counter = EvalCounter()
-    cost = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
-    dx_min, dx_max, dy_min, dy_max = cost.bounds
-    window = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
-    return reference_min(cost, [(0, 0), *window]), counter
-
-
 @settings(max_examples=60, deadline=None)
 @given(pair=SHORT_OR_TALL, content=st.sampled_from(["flat", "two-level"]), same=st.booleans(), data=st.data())
 def test_es_ties_at_windows_past_the_frame_equal_scalar_reference(pair, content, same, data):
@@ -409,8 +391,11 @@ def test_es_ties_at_windows_past_the_frame_equal_scalar_reference(pair, content,
     anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
     for index, memo in enumerate(field.memos):
         row, col = divmod(index, field.grid.cols)
-        expected, counter = reference_es_block(anc, tgt, bs, block_origin(field.grid, index), p)
-        assert field.vector(row, col) == expected
+        counter = EvalCounter()
+        cost = BlockCost(anc, tgt, block_origin(field.grid, index), bs, counter, (-p, p, -p, p))
+        dx_min, dx_max, dy_min, dy_max = cost.bounds
+        window = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1))
+        assert field.vector(row, col) == reference_min(cost, [(0, 0), *window])  # (0, 0) first, as in estimate
         assert list(memo.items()) == list(counter.memo.items())  # same points, same order
         assert field.evals_per_block[row, col] == counter.evals
 
