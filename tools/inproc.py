@@ -1,0 +1,169 @@
+"""Interleaved in-process timings of `estimate` at two revisions, saved as INPROC_<label>.json.
+
+    python3 tools/inproc.py --parent HEAD~1 --change HEAD --reps 8 --label sea
+    python3 tools/inproc.py --parent HEAD --change HEAD --reps 1 --label smoke
+
+--parent and --change each name a directory holding a checkout of the repo,
+or a git revision, which is exported as tools/pairs.py exports it. Each rep
+runs one child process per side, the side that runs first alternating from
+rep to rep. The child imports that side's `mebench` and times `estimate` for
+every matcher, best of 5 passes, on two inputs that this checkout's
+benchmarks/clips.py generates, the same for both sides:
+
+    pan     the 30 pairs of the seed-0 pan clip, zmp_threshold 8, p = 7
+    static  the 300 pairs of the seed-0 static clip, zmp_threshold 384, p = 7
+
+each pair seeded by its target frame's index, as `mebench run --seed 0`
+seeds it. The output holds every rep's ms per pair and a digest of the
+fields each side estimated, and, per input and matcher, each side's median
+and quartiles, the change's wins over the parent rep by rep, the wins of the
+side that ran first, whether the gap of the medians exceeds the parent's
+interquartile range, and whether both sides estimated the same fields. The
+exit status is 1 when a child failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from pairs import ROOT, SIDES, checkout, compare  # noqa: E402
+
+PASSES = 5
+INPUTS = {
+    "pan": "the 30 pairs of benchmarks/clips.py pan_frames(0), zmp_threshold 8, search_param 7",
+    "static": "the 300 pairs of benchmarks/clips.py static_frames(0), zmp_threshold 384, search_param 7",
+}
+
+
+def child(src: str) -> dict:
+    """Time every matcher of the `mebench` under `src` on both inputs: per
+    input and matcher, the best of PASSES passes in ms per pair, and a digest
+    of the fields estimated."""
+    sys.path.insert(0, src)
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    import clips
+    from mebench import ALGORITHMS, EstimatorConfig, Frame, estimate
+
+    inputs = {
+        "pan": (clips.pan_frames(0), EstimatorConfig(search_param=7, zmp_threshold=8)),
+        "static": (clips.static_frames(0), EstimatorConfig(search_param=7, zmp_threshold=384)),
+    }
+    ms, digests = {}, {}
+    for name, (lumas, config) in inputs.items():
+        frames = [Frame(luma) for luma in lumas]
+        ms[name], digests[name] = {}, {}
+        for algorithm in ALGORITHMS:
+            best = float("inf")
+            for _ in range(PASSES):
+                start = time.perf_counter()
+                fields = [estimate(algorithm, frames[k - 1], frames[k], config, seed=k) for k in range(1, len(frames))]
+                best = min(best, time.perf_counter() - start)
+            digest = hashlib.sha256()
+            for field in fields:
+                digest.update(field.vectors.tobytes() + field.evals_per_block.tobytes())
+            ms[name][algorithm] = best / len(fields) * 1e3
+            digests[name][algorithm] = digest.hexdigest()[:16]
+    return {"ms_per_pair": ms, "digest": digests}
+
+
+def run_child(tree: Path) -> dict | None:
+    """One child on the checkout `tree`; its result, or None when it failed."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree / "src")]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(proc.stderr[-2000:], file=sys.stderr)
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per input and matcher, pairs.compare over the reps in which both
+    sides ran (lower ms per pair is better), plus first_wins, the reps in
+    which the side that ran first read lower (a tie counts for neither), and
+    same_fields, whether every digest of both sides agrees."""
+    reps: dict[int, dict] = {}
+    for run in runs:
+        if run["result"] is not None:
+            reps.setdefault(run["rep"], {})[run["side"]] = (run["result"], run["first"])
+    both = [rep for rep in reps.values() if len(rep) == 2]
+    summary: dict[str, dict] = {}
+    for name in INPUTS:
+        summary[name] = {}
+        matchers = dict.fromkeys(m for rep in both for side in SIDES for m in rep[side][0]["ms_per_pair"][name])
+        for matcher in matchers:
+            values = [tuple(rep[side][0]["ms_per_pair"][name][matcher] for side in SIDES) for rep in both]
+            result = compare(values, "lower")
+            result["first_wins"] = sum(
+                (b < a) if rep["change"][1] else (a < b) for (a, b), rep in zip(values, both)
+            )
+            digests = {rep[side][0]["digest"][name][matcher] for rep in both for side in SIDES}
+            result["same_fields"] = len(digests) == 1
+            summary[name][matcher] = result
+    return summary
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    p.add_argument("--parent", help="checkout directory or git revision")
+    p.add_argument("--change", help="checkout directory or git revision")
+    p.add_argument("--reps", type=int, default=8)
+    p.add_argument("--label", help="the output is INPROC_<label>.json")
+    p.add_argument("--out", type=Path, help="output directory (default: the repo root)")
+    p.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child)))
+        return 0
+    missing = [f"--{name}" for name in ("parent", "change", "label") if getattr(args, name) is None]
+    if missing:
+        p.error(f"the following arguments are required: {', '.join(missing)}")
+    if args.reps < 1:
+        p.error("--reps must be >= 1")
+    if args.reps > 1 and args.reps % 2:
+        # each side must run first equally often
+        p.error(f"--reps must be 1 or even, got {args.reps}")
+
+    scratch = Path(tempfile.mkdtemp(prefix="mebench-inproc-"))
+    try:
+        trees = {side: checkout(getattr(args, side), scratch / side) for side in SIDES}
+        runs = []
+        for rep in range(args.reps):
+            order = SIDES if rep % 2 == 0 else SIDES[::-1]
+            for side in order:
+                run = {"rep": rep, "side": side, "first": side == order[0], "result": run_child(trees[side])}
+                runs.append(run)
+                es = None if run["result"] is None else run["result"]["ms_per_pair"]["pan"].get("es")
+                print(f"rep {rep} {side}: pan es {es} ms/pair", file=sys.stderr)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    report = {
+        "label": args.label,
+        "parent": args.parent,
+        "change": args.change,
+        "reps": args.reps,
+        "passes": PASSES,
+        "inputs": INPUTS,
+        "host": {"cpus": os.cpu_count(), "platform": platform.platform(), "python": platform.python_version()},
+        "summary": summarize(runs),
+        "runs": runs,
+    }
+    out = (args.out or ROOT) / f"INPROC_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 1 if any(run["result"] is None for run in runs) else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
