@@ -17,6 +17,10 @@ from .video_io import Frame
 # Integer pixel displacement (dx, dy).
 MotionVector = tuple[int, int]
 
+# The largest block side whose raw sum of 8-bit absolute differences fits
+# int32, the accumulator of metrics.sad_sums: 255 * 2901**2 < 2**31 < 255 * 2902**2.
+MAX_BLOCK_SIZE = 2901
+
 
 def check_integer(name: str, value) -> None:
     """Reject a non-integral value of an integer setting: 16.0 or 2.5 would
@@ -27,10 +31,16 @@ def check_integer(name: str, value) -> None:
 
 
 def check_block_size(block_size: int) -> None:
-    """Reject a block side that cannot tile a frame (checked before any division)."""
+    """Reject a block side that cannot tile a frame (checked before any
+    division), or whose raw SAD sum could pass int32 (MAX_BLOCK_SIZE)."""
     check_integer("block_size", block_size)
     if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
+    if block_size > MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"block_size must be <= {MAX_BLOCK_SIZE}, the largest side whose raw SAD sum fits int32, "
+            f"got {block_size}"
+        )
 
 
 @dataclass(frozen=True)

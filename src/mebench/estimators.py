@@ -16,7 +16,8 @@ has a memoized BlockCost, whose counter counts every displacement of the
 window, its memo entries scored only when the memo is read (keep_memos).
 ARPS searches one block at a time through its BlockCost, scoring its start
 set and then each unit rood one point at a time, in one loop. DS, whose
-blocks are independent, walks every moving block's diamond in lockstep. The
+blocks are independent, walks every moving block's diamond in lockstep, each
+step ranking only the points the block's last diamond did not hold. The
 swarm (pso.search) draws the pair's stream and runs one grid column at a
 time, each column's vectors written to the field before the next reads them.
 Both score through one PairCost per frame pair. Every oracle of a pair
@@ -54,6 +55,14 @@ ALGORITHMS = ("es", "ds", "arps", "pso-zmp")
 # small diamond is also ARPS's unit rood. Each starts at the center.
 _LDSP = ((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (1, -1), (-1, 1), (-1, -1))
 _SDSP = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+# After a large-diamond step to point b of the last diamond, point j of the
+# next one is point _LDSP_SHARED[b, j] of the last, or len(_LDSP) when it is
+# new: 5 new points after an edge step, 3 after a corner step (Zhu & Ma 2000).
+_LDSP_SHARED = np.array(
+    [[_LDSP.index(q) if q in _LDSP else len(_LDSP) for q in ((bx + x, by + y) for x, y in _LDSP)]
+     for bx, by in _LDSP]
+)
+_UNSCORED = -1  # in place of a key not yet ranked; every candidate key is >= 0
 
 
 @dataclass(frozen=True)
@@ -262,17 +271,19 @@ def es_search(cost: BlockCost) -> MotionVector:
     return tuple(es_row(anchor_plane(cost.windows), [cost])[0].tolist())
 
 
-def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern):
+def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern, known):
     """Each block's candidate_key minimum over the legal points of `pattern`
-    around its center (k, 2), scored in pattern order; and whether it left
-    the center."""
+    around its center (k, 2), with the points' keys (k, len(pattern)),
+    INT64_MAX where illegal, and the minimum's index in `pattern`. known
+    holds the keys already ranked, _UNSCORED elsewhere; only the legal
+    unscored points are ranked, in pattern order."""
     cand = center[:, None] + pattern
     legal = ((cand >= lo[:, None]) & (cand <= hi[:, None])).all(axis=2)
-    d = cand[legal]
-    keys = np.full(legal.shape, INT64_MAX)
-    keys[legal] = pair.rank(np.broadcast_to(blocks[:, None], legal.shape)[legal], d)
+    keys = np.where(legal, known, INT64_MAX)
+    new = legal & (known == _UNSCORED)
+    keys[new] = pair.rank(np.broadcast_to(blocks[:, None], new.shape)[new], cand[new])
     best = keys.argmin(axis=1)
-    return cand[np.arange(len(blocks)), best], best != 0
+    return cand[np.arange(len(blocks)), best], keys, best
 
 
 def ds_lockstep(pair: PairCost, blocks: np.ndarray, p: int) -> np.ndarray:
@@ -280,17 +291,26 @@ def ds_lockstep(pair: PairCost, blocks: np.ndarray, p: int) -> np.ndarray:
     its large diamond from (0, 0) until the minimum sits at the center, every
     still-walking block taking its step in the same gather, then all take one
     small-diamond refinement. Candidates stay inside |dx|, |dy| <= p and the
-    frame. Returns the vectors, (k, 2)."""
+    frame. Each step ranks only the points its block has not ranked in its
+    last diamond (_LDSP_SHARED), and the small diamond takes its center's
+    key from the last large one. Returns the vectors, (k, 2)."""
     lo, hi = pair.bounds(blocks)
     lo, hi = np.maximum(lo, -p), np.minimum(hi, p)
-    center = np.zeros((len(blocks), 2), dtype=np.int64)
-    walking = np.arange(len(blocks))
+    k = len(blocks)
+    center = np.zeros((k, 2), dtype=np.int64)
+    # each block's keys of its last large diamond, then an _UNSCORED column that new points read
+    keys = np.full((k, len(_LDSP) + 1), _UNSCORED)
+    step = np.zeros(k, dtype=np.intp)  # the index of each block's last move, 0 (none) at first
+    walking = np.arange(k)
     while walking.size:
-        center[walking], moved = _pattern_min(
-            pair, blocks[walking], center[walking], lo[walking], hi[walking], _LDSP
+        known = keys[walking[:, None], _LDSP_SHARED[step[walking]]]
+        center[walking], keys[walking, :-1], step[walking] = _pattern_min(
+            pair, blocks[walking], center[walking], lo[walking], hi[walking], _LDSP, known
         )
-        walking = walking[moved]
-    return _pattern_min(pair, blocks, center, lo, hi, _SDSP)[0]
+        walking = walking[step[walking] != 0]
+    known = np.full((k, len(_SDSP)), _UNSCORED)
+    known[:, 0] = keys[:, 0]  # the small diamond shares only its center with the last large one
+    return _pattern_min(pair, blocks, center, lo, hi, _SDSP, known)[0]
 
 
 def arps_search(cost: BlockCost, left_neighbor_mv: MotionVector | None) -> MotionVector:

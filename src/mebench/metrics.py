@@ -14,7 +14,8 @@ tuples, and CandidateKeys ranks the array paths' candidates, ES's included,
 as int64 keys that order exactly as it does. sad_sums is the one place where
 a strided window difference is reduced: ES's survivors and pending boxes,
 the pair gather (PairCost.rank) and `estimate`'s prejudgment all sum
-through it.
+through it, in int32, and get int64 sums back; a block side whose raw sum
+could pass int32 is refused (blocks.MAX_BLOCK_SIZE).
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blocks import MotionVector, displacement_bounds
+from .blocks import MAX_BLOCK_SIZE, MotionVector, check_block_size, displacement_bounds
 from .video_io import Frame, Sequence
 
 # Reported in place of an infinite PSNR (zero MSE); far above the ~40 dB
@@ -68,12 +69,18 @@ def sad_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A window or tile view keeps its parent's strides, so a difference taken
     the plain way inherits them, and summing each block of it walks the
     frame's rows apart. The difference is written in C order instead, its
-    abs taken in place, and each block summed as one flat axis, in the
-    default int64 accumulator, which no frame's sum can overflow.
+    abs taken in place, and each block summed as one flat axis in an int32
+    accumulator, which a block of 8-bit pixels cannot overflow up to side
+    MAX_BLOCK_SIZE; a larger side is refused. The sums are returned as
+    int64, so no caller's arithmetic on them wraps. No candidates give an
+    empty result.
     """
     diff = np.subtract(a, b, order="C")
+    *lead, side, width = diff.shape
+    if max(side, width) > MAX_BLOCK_SIZE:
+        check_block_size(max(side, width))
     np.abs(diff, out=diff)
-    return diff.reshape(*diff.shape[:-2], -1).sum(axis=-1)
+    return diff.reshape(*lead, side * width).sum(axis=-1, dtype=np.int32).astype(np.int64)
 
 
 class EvalCounter:

@@ -10,7 +10,9 @@ grid position (pattern A recentered on the left neighbor's vector for
 ordinary blocks, down/up-biased corner patterns and a right-biased edge
 pattern for the leftmost column). The swarm then runs a standard
 inertia-weight update for a fixed number of iterations, with velocities
-clamped component-wise; every block's swarm updates in one array expression.
+clamped component-wise; every block's swarm updates in place, in one array
+expression per term. A column ranks its candidates once per iteration: the
+initial global-best seeds join the first positions' call, ahead of them.
 
 Particle state is continuous; positions are rounded (half away from zero)
 and clamped to the frame-legal box only when a cost is evaluated. There is
@@ -121,20 +123,18 @@ def _swarm(rank, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, 
     starts (k, P, 2) are the pattern positions, particle i starting at
     starts[:, i % P]; seeds (k, s, 2) the initial global-best candidates.
     Both are clamped to the per-block box lo..hi ((k, 2) each); r (k,
-    iterations, particles, 2, 2) holds each block's uniforms. `trace`
-    receives the first block's state after each iteration's
-    velocity/position update.
+    iterations, particles, 2, 2) holds each block's uniforms. The seeds are
+    ranked ahead of the first positions, in the same rank call, so the swarm
+    makes one call per iteration. `trace` receives the first block's state
+    after each iteration's velocity/position update.
     """
     lo, hi = lo[:, None], hi[:, None]
     k, n = len(starts), config.particles
     block = np.arange(k)
+    seeds = np.minimum(np.maximum(seeds, lo), hi)
+    s = seeds.shape[1]
     gbest_key = np.full(k, INT64_MAX)
-    gbest = np.zeros((k, 2), dtype=np.int64)
-    if seeds.shape[1]:
-        seeds = np.minimum(np.maximum(seeds, lo), hi)
-        seed_keys = rank(seeds)
-        best = seed_keys.argmin(1)
-        gbest_key, gbest = seed_keys[block, best], seeds[block, best]
+    gbest = np.zeros((k, 2), dtype=np.float64)
     pos = np.minimum(np.maximum(starts[:, np.arange(n) % starts.shape[1]], lo), hi).astype(np.float64)
     vel = np.zeros((k, n, 2), dtype=np.float64)
     pbest = np.zeros((k, n, 2), dtype=np.float64)
@@ -143,18 +143,29 @@ def _swarm(rank, keys: CandidateKeys, starts, seeds, lo, hi, config: PsoConfig, 
 
     for t in range(config.iterations):
         q = np.minimum(np.maximum(_round_half_away(pos), lo), hi)
-        q_keys = rank(q)
+        if t:
+            q_keys = rank(q)
+        else:  # the seeds join the first positions' call, ahead of them
+            q_keys = rank(np.concatenate((seeds, q), 1))
+            if s:
+                best = q_keys[:, :s].argmin(1)
+                gbest_key, gbest[:] = q_keys[block, best], seeds[block, best]
+            q_keys = q_keys[:, s:]
         better = q_keys < pbest_key
-        pbest_key = np.minimum(q_keys, pbest_key)
-        pbest = np.where(better[..., None], q, pbest)
+        np.minimum(q_keys, pbest_key, out=pbest_key)
+        np.copyto(pbest, q, where=better[..., None])
         # synchronous global-best update after the full evaluation pass
         best = pbest_key.argmin(1)
-        improved = pbest_key[block, best] < gbest_key
-        gbest_key = np.minimum(pbest_key[block, best], gbest_key)
-        gbest = np.where(improved[:, None], pbest[block, best], gbest)
+        top = pbest_key[block, best]
+        improved = top < gbest_key
+        np.minimum(top, gbest_key, out=gbest_key)
+        np.copyto(gbest, pbest[block, best], where=improved[:, None])
         w = inertia_weight(t, config.iterations, config.w_start, config.w_end)
-        vel = w * vel + c1r[:, t] * (pbest - pos) + c2r[:, t] * (gbest[:, None] - pos)
-        vel = np.minimum(np.maximum(vel, -config.v_max), config.v_max)
+        # vel = w * vel + c1 r1 (pbest - pos) + c2 r2 (gbest - pos), summed in that order
+        vel *= w
+        vel += c1r[:, t] * (pbest - pos)
+        vel += c2r[:, t] * (gbest[:, None] - pos)
+        np.minimum(np.maximum(vel, -config.v_max, out=vel), config.v_max, out=vel)
         pos += vel
         if trace is not None:
             trace.append(

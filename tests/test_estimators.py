@@ -14,6 +14,7 @@ from mebench import (
     estimators,
 )
 from mebench.estimators import arps_search
+from mebench.metrics import PairCost
 
 from conftest import load_script, make_cost, noise_frame, shifted_pair, smooth_texture
 
@@ -157,6 +158,27 @@ def test_ds_stationary_block_13_evals():
     interior = field.evals_per_block[1:-1, 1:-1]
     assert interior.size and (field.vectors[1:-1, 1:-1] == 0).all()
     assert (interior == 13).all()  # 9-point large diamond + 4 fresh small-diamond points
+
+
+def test_ds_ranks_each_point_about_once_on_a_pan(monkeypatch):
+    # Each large-diamond step ranks only the points its last diamond did not
+    # hold, and the small diamond takes its center's key, so on the 30 pairs
+    # of the benchmark's seed-0 pan clip DS sends PairCost.rank 49,463
+    # queries for 49,263 evaluations. Re-ranking every pattern point read
+    # 71,523 (1.45x).
+    frames = [Frame(f) for f in load_script("benchmarks/clips.py", "mebench_bench_clips", monkeypatch).pan_frames(0)]
+    rank, queries = PairCost.rank, []
+
+    def counted(self, blocks, d):
+        queries.append(np.broadcast_shapes(np.shape(blocks), d.shape[:-1]))
+        return rank(self, blocks, d)
+
+    monkeypatch.setattr(PairCost, "rank", counted)
+    config = EstimatorConfig(search_param=7, zmp_threshold=8)
+    evals = sum(estimate("ds", a, b, config, seed=k).total_evals for k, (a, b) in enumerate(zip(frames, frames[1:]), 1))
+    ranked = sum(int(np.prod(shape)) for shape in queries)
+    assert evals == 49263
+    assert ranked <= 1.07 * evals, ranked
 
 
 def test_ds_recovers_small_shift():

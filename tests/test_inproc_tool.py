@@ -1,7 +1,8 @@
 """tools/inproc.py, the interleaved in-process timer of `estimate` at two
 revisions: its summary (wins, first-run wins, same fields), its argument
-checks and the file it writes. No child process is started; main runs
-against stubbed checkouts and children. Every committed INPROC_*.json is held
+checks, the file it writes and the loading of each side under its own
+package name. No child process is started; main runs against stubbed
+checkouts and children. Every committed INPROC_*.json is held
 to its own runs: its summary is summarize's, and every rep it claims ran on
 both sides."""
 
@@ -70,7 +71,7 @@ def test_summarize_flags_sides_that_estimated_different_fields(inproc):
 
 @pytest.mark.parametrize("count", [0, 3, 5])
 def test_a_rep_count_below_one_or_odd_is_a_usage_error(inproc, monkeypatch, tmp_path, capsys, count):
-    monkeypatch.setattr(inproc, "run_child", lambda tree: pytest.fail("no child may run"))
+    monkeypatch.setattr(inproc, "run_child", lambda trees: pytest.fail("no child may run"))
     argv = ["--parent", "a", "--change", "b", "--reps", str(count), "--label", "t", "--out", str(tmp_path)]
     with pytest.raises(SystemExit) as info:
         inproc.main(argv)
@@ -82,19 +83,41 @@ def test_a_rep_count_below_one_or_odd_is_a_usage_error(inproc, monkeypatch, tmp_
 def test_main_alternates_the_first_side_and_writes_the_set(inproc, monkeypatch, tmp_path):
     made = []
 
-    def run_child(tree):
-        made.append(tree.name)
-        return _result(8.0 if tree.name == "a" else 4.0)
+    def run_child(trees):
+        # one child per rep times both sides, in the order given
+        made.append([(side, tree.name) for side, tree in trees.items()])
+        return {side: _result(8.0 if tree.name == "a" else 4.0) for side, tree in trees.items()}
 
     monkeypatch.setattr(inproc, "checkout", lambda ref, scratch: Path(ref))
     monkeypatch.setattr(inproc, "run_child", run_child)
     argv = ["--parent", "a", "--change", "b", "--reps", "2", "--label", "t", "--out", str(tmp_path)]
     assert inproc.main(argv) == 0
-    assert made == ["a", "b", "b", "a"]
+    assert made == [[("parent", "a"), ("change", "b")], [("change", "b"), ("parent", "a")]]
     written = json.loads((tmp_path / "INPROC_t.json").read_text())
+    assert [(run["rep"], run["side"], run["first"]) for run in written["runs"]] == [
+        (0, "parent", True), (0, "change", False), (1, "change", True), (1, "parent", False)
+    ]
     assert written["summary"] == inproc.summarize(written["runs"])
     assert written["summary"]["pan"]["es"]["change_wins"] == 2
     assert set(written["inputs"]) == set(written["summary"]) == {"pan", "static"}
+
+
+def test_main_records_a_failed_child_as_failed_on_both_sides(inproc, monkeypatch, tmp_path):
+    monkeypatch.setattr(inproc, "checkout", lambda ref, scratch: Path(ref))
+    monkeypatch.setattr(inproc, "run_child", lambda trees: None)
+    argv = ["--parent", "a", "--change", "b", "--reps", "1", "--label", "t", "--out", str(tmp_path)]
+    assert inproc.main(argv) == 1
+    written = json.loads((tmp_path / "INPROC_t.json").read_text())
+    assert [run["result"] for run in written["runs"]] == [None, None]
+    assert written["summary"]["pan"] == {}
+
+
+def test_child_loads_each_side_under_its_own_package_name(inproc):
+    first = inproc.load(str(REPO / "src"), "mebench_first")
+    second = inproc.load(str(REPO / "src"), "mebench_second")
+    assert first is not second and first.estimate is not second.estimate
+    assert first.estimators.__name__ == "mebench_first.estimators"
+    assert second.metrics.PairCost is not first.metrics.PairCost
 
 
 INPROC_FILES = sorted(REPO.glob("INPROC_*.json"))

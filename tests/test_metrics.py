@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mebench import EvalCounter, Frame, Sequence, frame_psnr, psnr, sad_at, sad_sum
-from mebench.metrics import BlockCost
+from mebench import BlockGrid, EstimatorConfig, EvalCounter, Frame, Sequence, frame_psnr, psnr, sad_at, sad_sum
+from mebench.blocks import MAX_BLOCK_SIZE
+from mebench.metrics import BlockCost, PairCost, sad_sums
 
 from conftest import noise_frame, shifted_pair
 
@@ -57,6 +58,44 @@ def test_sad_symmetry_zero_triangle():
         assert sad_sum(a, b) == sad_sum(b, a)
         assert sad_sum(a, a) == 0
         assert sad_sum(a, c) <= sad_sum(a, b) + sad_sum(b, c)
+
+
+def _saturated(side):
+    """A broadcast all-255 difference of side x side blocks: the largest raw sum."""
+    return np.broadcast_to(np.int16(255), (side, side)), np.broadcast_to(np.int16(0), (side, side))
+
+
+def test_sad_sums_is_exact_at_the_largest_block_side():
+    # 255 * 2901**2 = 2,146,029,255 sits just under 2**31 in the int32 accumulator
+    got = sad_sums(*_saturated(MAX_BLOCK_SIZE))
+    assert MAX_BLOCK_SIZE == 2901
+    assert got.dtype == np.int64 and int(got) == 255 * 2901 * 2901
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda side: sad_sums(*_saturated(side)),
+        lambda side: EstimatorConfig(block_size=side),
+        lambda side: BlockGrid(side, 1, 1),
+    ],
+    ids=["sad_sums", "EstimatorConfig", "BlockGrid"],
+)
+def test_a_block_side_whose_sum_could_pass_int32_is_refused(refuse):
+    with pytest.raises(ValueError) as info:
+        refuse(2902)
+    assert str(info.value) == "block_size must be <= 2901, the largest side whose raw SAD sum fits int32, got 2902"
+
+
+def test_no_candidates_score_to_an_empty_result():
+    tiles = np.zeros((0, 4, 4), np.int16)
+    got = sad_sums(tiles, tiles)
+    assert got.shape == (0,) and got.dtype == np.int64
+    assert sad_sums(np.zeros((3, 0, 4, 4), np.int16), np.zeros((4, 4), np.int16)).shape == (3, 0)
+    luma = np.arange(16 * 24, dtype=np.int16).reshape(16, 24)
+    pair = PairCost(luma, luma, BlockGrid.for_frame(Frame(luma.astype(np.uint8)), 8))
+    assert pair.rank(np.zeros(0, np.int64), np.zeros((0, 2), np.int64)).shape == (0,)
+    assert pair.memo == {}
 
 
 def test_sad_at_memoizes():

@@ -14,8 +14,9 @@ invariants of `estimate` for every algorithm: legal vectors and memo keys,
 evals == len(memo), the static-block prejudgment and the same field without
 memos, and that `estimate` gives the same field whatever the memory layout
 of its frames (ES's window is drawn in three layouts too). The int64
-candidate keys of the array paths are held to candidate_key's order, and
-PairCost's memo to BlockCost's."""
+candidate keys of the array paths are held to candidate_key's order, in
+PairCost's ranking too where a cost times the displacement ranks passes
+int32, and PairCost's memo to BlockCost's."""
 
 from __future__ import annotations
 
@@ -472,6 +473,47 @@ def test_candidate_keys_beyond_int64_are_refused(side, block):
     with pytest.raises(ValueError) as info:
         CandidateKeys(side, side, block)
     assert str(info.value) == f"candidate keys of a {side}x{side} frame with {block}x{block} blocks overflow int64"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bs=st.sampled_from([16, 40, 64]),
+    rows=st.integers(0, 3),
+    saturated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pair_cost_ranks_as_candidate_key_where_a_cost_times_l1_span_passes_int32(bs, rows, saturated, seed, data):
+    # A frame one block row tall and just wide enough that 255 * bs**2 *
+    # l1_span > 2**31: summed in int32 (sad_sums), a cost times the
+    # displacement ranks would wrap if it reached CandidateKeys.encode in
+    # int32. A saturated anchor gives every candidate of a block one cost,
+    # so the tie-break decides; otherwise costs sit near the highest.
+    width = 2**31 // (255 * bs * bs) + bs + 1
+    height = bs + rows
+    rng = np.random.default_rng(seed)
+    anchor = np.full((height, width), 255, np.uint8)
+    if not saturated:
+        anchor -= rng.integers(0, 4, anchor.shape, dtype=np.uint8)
+    target = rng.integers(0, 3, anchor.shape, dtype=np.uint8)
+    grid = BlockGrid.for_frame(Frame(anchor), bs)
+    anc, tgt = anchor.astype(np.int16), target.astype(np.int16)
+    pair = PairCost(anc, tgt, grid)
+    assert 255 * bs * bs * pair.keys.l1_span > 2**31
+    block = data.draw(st.sampled_from([0, grid.n_blocks - 1, int(rng.integers(0, grid.n_blocks))]))
+    lo, hi = pair.bounds(np.array([block]))
+    d = rng.integers(lo, hi + 1, (8, 2))
+    d[0], d[1] = lo[0], hi[0]  # the frame's far corners of the block's box
+    got = pair.rank(np.full(len(d), block), d).tolist()
+    x, y = block_origin(grid, block)
+    want = [
+        candidate_key(sad_sum(tgt[y : y + bs, x : x + bs], anc[y + dy : y + dy + bs, x + dx : x + dx + bs]), (dx, dy))
+        for dx, dy in d.tolist()
+    ]
+    for i in range(len(d)):
+        assert pair.keys.cost(got[i]) == want[i][0]
+        for j in range(len(d)):
+            assert (got[i] < got[j], got[i] == got[j]) == (want[i] < want[j], want[i] == want[j])
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,9 +12,11 @@ from mebench import (
     init_pattern,
     pso_match,
 )
+from mebench import pso
+from mebench.metrics import PairCost
 from mebench.pso import select_pattern
 
-from conftest import make_cost, noise_frame, shifted_pair
+from conftest import make_cost, noise_frame, shifted_pair, smooth_texture
 
 PATTERN_A = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)}
 PATTERN_B = {(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)}
@@ -195,6 +197,30 @@ def test_estimate_pso_zmp_output_dominates_every_evaluated_point():
         row, col = index // grid.cols, index % grid.cols
         mv = field.vector(row, col)
         assert memo[mv] == min(memo.values())
+
+
+@pytest.mark.parametrize("config", [PsoConfig(), PsoConfig(iterations=3, seed_predictor=False)])
+def test_the_swarm_ranks_once_per_iteration_per_column(monkeypatch, config):
+    # the seeds join the first positions' rank call, so a column of blocks
+    # makes exactly `iterations` calls
+    anchor = Frame(smooth_texture(64, 96, seed=5))
+    target = Frame(np.roll(anchor.luma, (1, 3), axis=(0, 1)))
+    calls = []
+    column_search, rank = pso.column_search, PairCost.rank
+
+    def column(pair, blocks, *args):
+        calls.append(0)
+        return column_search(pair, blocks, *args)
+
+    def counted(self, blocks, d):
+        calls[-1] += 1
+        return rank(self, blocks, d)
+
+    monkeypatch.setattr(pso, "column_search", column)
+    monkeypatch.setattr(PairCost, "rank", counted)
+    field = estimate("pso-zmp", anchor, target, EstimatorConfig(zmp_threshold=0), pso=config, seed=3)
+    assert not field.static_flags.any()
+    assert calls == [config.iterations] * field.grid.cols
 
 
 def test_estimate_pso_zmp_eval_budget():

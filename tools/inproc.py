@@ -5,27 +5,32 @@
 
 --parent and --change each name a directory holding a checkout of the repo,
 or a git revision, which is exported as tools/pairs.py exports it. Each rep
-runs one child process per side, the side that runs first alternating from
-rep to rep. The child imports that side's `mebench` and times `estimate` for
-every matcher, best of 5 passes, on two inputs that this checkout's
+runs one child process, which imports both sides' `src/mebench`, each under
+its own package name (the package uses only relative imports), and times
+`estimate` for every matcher on two inputs that this checkout's
 benchmarks/clips.py generates, the same for both sides:
 
     pan     the 30 pairs of the seed-0 pan clip, zmp_threshold 8, p = 7
     static  the 300 pairs of the seed-0 static clip, zmp_threshold 384, p = 7
 
 each pair seeded by its target frame's index, as `mebench run --seed 0`
-seeds it. The output holds every rep's ms per pair and a digest of the
-fields each side estimated, and, per input and matcher, each side's median
-and quartiles, the change's wins over the parent rep by rep, the wins of the
-side that ran first, whether the gap of the medians exceeds the parent's
-interquartile range, and whether both sides estimated the same fields. The
-exit status is 1 when a child failed.
+seeds it. Per input and matcher the child runs 5 passes, each pass timing
+both sides one after the other, and keeps each side's best pass; the side
+that runs first in every pass alternates from rep to rep. So host
+contention that lasts a pass or more falls on both sides alike. The output
+holds every rep's ms per pair and a digest of the fields each side
+estimated, as one run per side, and, per input and matcher, each side's
+median and quartiles, the change's wins over the parent rep by rep, the
+wins of the side that ran first, whether the gap of the medians exceeds the
+parent's interquartile range, and whether both sides estimated the same
+fields. The exit status is 1 when a child failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -46,40 +51,58 @@ INPUTS = {
 }
 
 
-def child(src: str) -> dict:
-    """Time every matcher of the `mebench` under `src` on both inputs: per
-    input and matcher, the best of PASSES passes in ms per pair, and a digest
-    of the fields estimated."""
-    sys.path.insert(0, src)
+def load(src: str, name: str):
+    """The package `mebench` under `src`, imported as `name`."""
+    package = Path(src) / "mebench"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def child(srcs: dict[str, str]) -> dict:
+    """Time every matcher of each side's `mebench` (side -> src, in run
+    order) on both inputs: per side, input and matcher, the best of PASSES
+    passes in ms per pair, and a digest of the fields estimated."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import clips
-    from mebench import ALGORITHMS, EstimatorConfig, Frame, estimate
 
+    packages = {side: load(src, f"mebench_{side}") for side, src in srcs.items()}
     inputs = {
-        "pan": (clips.pan_frames(0), EstimatorConfig(search_param=7, zmp_threshold=8)),
-        "static": (clips.static_frames(0), EstimatorConfig(search_param=7, zmp_threshold=384)),
+        "pan": (clips.pan_frames(0), {"search_param": 7, "zmp_threshold": 8}),
+        "static": (clips.static_frames(0), {"search_param": 7, "zmp_threshold": 384}),
     }
-    ms, digests = {}, {}
-    for name, (lumas, config) in inputs.items():
-        frames = [Frame(luma) for luma in lumas]
-        ms[name], digests[name] = {}, {}
-        for algorithm in ALGORITHMS:
-            best = float("inf")
+    results = {side: {"ms_per_pair": {}, "digest": {}} for side in srcs}
+    for name, (lumas, settings) in inputs.items():
+        frames = {side: [mb.Frame(luma) for luma in lumas] for side, mb in packages.items()}
+        configs = {side: mb.EstimatorConfig(**settings) for side, mb in packages.items()}
+        for side in srcs:
+            results[side]["ms_per_pair"][name], results[side]["digest"][name] = {}, {}
+        for algorithm in next(iter(packages.values())).ALGORITHMS:
+            best, fields = dict.fromkeys(srcs, float("inf")), {}
             for _ in range(PASSES):
-                start = time.perf_counter()
-                fields = [estimate(algorithm, frames[k - 1], frames[k], config, seed=k) for k in range(1, len(frames))]
-                best = min(best, time.perf_counter() - start)
-            digest = hashlib.sha256()
-            for field in fields:
-                digest.update(field.vectors.tobytes() + field.evals_per_block.tobytes())
-            ms[name][algorithm] = best / len(fields) * 1e3
-            digests[name][algorithm] = digest.hexdigest()[:16]
-    return {"ms_per_pair": ms, "digest": digests}
+                for side, mb in packages.items():
+                    f, config = frames[side], configs[side]
+                    start = time.perf_counter()
+                    fields[side] = [mb.estimate(algorithm, f[k - 1], f[k], config, seed=k) for k in range(1, len(f))]
+                    best[side] = min(best[side], time.perf_counter() - start)
+            for side in srcs:
+                digest = hashlib.sha256()
+                for field in fields[side]:
+                    digest.update(field.vectors.tobytes() + field.evals_per_block.tobytes())
+                results[side]["ms_per_pair"][name][algorithm] = best[side] / len(fields[side]) * 1e3
+                results[side]["digest"][name][algorithm] = digest.hexdigest()[:16]
+    return results
 
 
-def run_child(tree: Path) -> dict | None:
-    """One child on the checkout `tree`; its result, or None when it failed."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree / "src")]
+def run_child(trees: dict[str, Path]) -> dict | None:
+    """One child on the checkouts `trees` (side -> tree, in run order); its
+    result per side, or None when it failed."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child"]
+    cmd += [f"{side}={tree / 'src'}" for side, tree in trees.items()]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         print(proc.stderr[-2000:], file=sys.stderr)
@@ -120,10 +143,10 @@ def main(argv=None) -> int:
     p.add_argument("--reps", type=int, default=8)
     p.add_argument("--label", help="the output is INPROC_<label>.json")
     p.add_argument("--out", type=Path, help="output directory (default: the repo root)")
-    p.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    p.add_argument("--child", nargs=2, metavar="SIDE=SRC", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
-        print(json.dumps(child(args.child)))
+        print(json.dumps(child(dict(arg.split("=", 1) for arg in args.child))))
         return 0
     missing = [f"--{name}" for name in ("parent", "change", "label") if getattr(args, name) is None]
     if missing:
@@ -140,11 +163,12 @@ def main(argv=None) -> int:
         runs = []
         for rep in range(args.reps):
             order = SIDES if rep % 2 == 0 else SIDES[::-1]
+            results = run_child({side: trees[side] for side in order})
             for side in order:
-                run = {"rep": rep, "side": side, "first": side == order[0], "result": run_child(trees[side])}
-                runs.append(run)
-                es = None if run["result"] is None else run["result"]["ms_per_pair"]["pan"].get("es")
-                print(f"rep {rep} {side}: pan es {es} ms/pair", file=sys.stderr)
+                result = None if results is None else results[side]
+                runs.append({"rep": rep, "side": side, "first": side == order[0], "result": result})
+                ds = None if result is None else result["ms_per_pair"]["pan"].get("ds")
+                print(f"rep {rep} {side}: pan ds {ds} ms/pair", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
