@@ -9,12 +9,13 @@ the one place the threshold is converted to raw-sum units. That sum is each
 block's first memo entry, one evaluation; static blocks stop there. The
 searches themselves only search; of the field they see only the left
 neighbor's vector (in column 0, None for ARPS and (0, 0) for the swarm), the
-one link between blocks. ES searches one grid row at a time (es_row) by
-exact successive elimination: a lower bound from 2x2 partition sums rules
-out most of each window, and only the rest is scored. Each ES block still
-has a memoized BlockCost, whose counter counts every displacement of the
-window, its memo entries scored only when the memo is read (keep_memos).
-ARPS searches one block at a time through its BlockCost, scoring its start
+one link between blocks. ES searches whole grid rows of a frame per call
+(es_blocks), a QCIF frame at p = 7 in one, by exact successive elimination:
+a lower bound from the 2x2 quadrant sums of one int32 integral image rules
+out most of each window, and only the rest is scored. Each ES block counts
+every displacement of its window and keeps a BlockCost only for its one
+co-located query; under keep_memos its counter records the whole window,
+scored when the memo is read. ARPS searches one block at a time through its BlockCost, scoring its start
 set and then each unit rood one point at a time, in one loop. DS, whose
 blocks are independent, walks every moving block's diamond in lockstep, each
 step ranking only the points the block's last diamond did not hold. The
@@ -177,83 +178,88 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
     return CompensatedFrame(Frame(out))
 
 
-# The most anchor-window pixels one gather of ES survivors holds (512 KiB as
-# int16), besides holding no more candidates than the row's largest box.
+# The most values one ES step holds: the four quadrant sums of each candidate
+# that a call's bound gathers, and the anchor-window pixels of one gather of
+# its survivors (512 KiB as int16), which also holds at most one box.
+# `estimate` hands es_blocks as many whole grid rows as that bound holds, at
+# least one.
 ES_GATHER_PIXELS = 1 << 18
 
 
-def _partition_sums(strip: np.ndarray, bs: int) -> np.ndarray:
-    """The sums of the 2x2 partition, split at bs // 2, of every bs x bs
-    window of the plane `strip`, from running sums down its columns and then
-    along its rows (one integral image): [column part, row part, window
-    column, window row]."""
-    cuts = (0, bs // 2, bs)
-    h, w = strip.shape
+def quadrant_sums(plane: np.ndarray, bs: int) -> np.ndarray:
+    """The sums of the 2x2 quadrants, split at bs // 2, of every bs x bs
+    window of `plane`, from one integral image, as int32 [quadrant (top-left,
+    top-right, bottom-left, bottom-right), window row, window column].
+
+    The integral image's running sums may wrap in int32. They stay exact
+    modulo 2**32, and so does every difference of them; a quadrant of 8-bit
+    pixels up to side MAX_BLOCK_SIZE sums below 2**31, so its int32
+    difference is the sum itself."""
+    h, w = plane.shape
     ny, nx = h - bs + 1, w - bs + 1
-    down = np.zeros((h + 1, w), dtype=np.int64)
-    np.cumsum(strip, axis=0, out=down[1:])
-    across = np.zeros((2, w + 1, ny), dtype=np.int64)  # [row part, column, window row]
-    for part, (top, bottom) in enumerate(zip(cuts, cuts[1:])):
-        np.subtract(down[bottom : bottom + ny].T, down[top : top + ny].T, out=across[part, 1:])
-    np.cumsum(across[:, 1:], axis=1, out=across[:, 1:])
-    sums = np.empty((2, 2, nx, ny), dtype=np.int64)
-    for part, (left, right) in enumerate(zip(cuts, cuts[1:])):
-        np.subtract(across[:, right : right + nx], across[:, left : left + nx], out=sums[part])
-    return sums
+    total = np.zeros((h + 1, w + 1), dtype=np.int32)
+    np.cumsum(plane, axis=0, dtype=np.int32, out=total[1:, 1:])
+    np.cumsum(total[1:, 1:], axis=1, out=total[1:, 1:])
+    cuts = (0, bs // 2, bs)
+    sums = np.empty((2, 2, ny, nx), dtype=np.int32)
+    for band, (top, bottom) in zip(sums, zip(cuts, cuts[1:])):
+        rows = total[bottom : bottom + ny] - total[top : top + ny]
+        for part, (left, right) in zip(band, zip(cuts, cuts[1:])):
+            np.subtract(rows[:, right : right + nx], rows[:, left : left + nx], out=part)
+    return sums.reshape(4, ny, nx)
 
 
-def es_row(anchor: np.ndarray, costs: list[BlockCost]) -> np.ndarray:
-    """Exhaustive search of the blocks of one grid row by exact successive
-    elimination. `anchor` is the plane under the costs' one window view, and
-    the blocks' boxes share their dy range. Returns each box's candidate_key
-    minimum, (k, 2) as (dx, dy).
+def es_blocks(anchor: np.ndarray, windows: np.ndarray, tiles: np.ndarray, x, y, bounds) -> np.ndarray:
+    """Exhaustive search of k blocks at once by exact successive elimination.
+    `anchor` is the plane under the window view `windows`; tiles holds the
+    target blocks (k, side, side), x and y their top-left corners and bounds
+    their boxes (dx_min, dx_max, dy_min, dy_max), each (k,). Returns each
+    box's candidate_key minimum, (k, 2) as (dx, dy).
 
-    Each block first queries (0, 0) through BlockCost.__call__, which
-    wrappers of __call__ see as ES work, and its counter then records the
-    whole box, scored only if its memo is read. Over the 2x2 partition of a
-    block B and a window W, sum_q |sum(B_q) - sum(W_q)| never exceeds
-    SAD(B, W) (Li & Salari 1995; Gao, Duanmu & Zou 2000), so no candidate's
-    CandidateKeys key at its bound ranks after its key at its cost. The
-    exact cost at a block's lowest bound key gives an upper key; only the
-    candidates whose bound key does not rank after it can hold the minimum,
-    and only they are scored, by sad_sums on the window view, in gathers of
-    at most one box and ES_GATHER_PIXELS pixels.
+    Over the 2x2 quadrants of a block B and a window W, sum_q |sum(B_q) -
+    sum(W_q)| never exceeds SAD(B, W) (Li & Salari 1995; Gao, Duanmu & Zou
+    2000), so no candidate's CandidateKeys key at its bound ranks after its
+    key at its cost. The exact cost at a block's lowest bound key gives an
+    upper key; only the candidates whose bound key does not rank after it
+    can hold the minimum, and only they are scored, by sad_sums on the
+    window view, in gathers of at most one box and ES_GATHER_PIXELS pixels.
     """
-    for cost in costs:
-        cost((0, 0))
-        cost.counter.record_box(cost.bounds, cost.box_sums)
-    first, k = costs[0], len(costs)
-    windows, bs, width, y = first.windows, first.block_size, first.width, first.y
-    keys = CandidateKeys(width, first.height, bs)
-    x = np.array([c.x for c in costs])
-    dx_min, dx_max, dy_min, dy_max = np.array([c.bounds for c in costs]).T
-    tiles = np.stack([c.tgt for c in costs])
-    # A block's candidates are w window-origin columns holding its dx range,
-    # within the frame, by every dy of the row: [block, column, dy], where
-    # ties holds each one's key at zero cost.
-    w = int((dx_max - dx_min).max()) + 1
-    cols = np.minimum(x + dx_min, width - bs + 1 - w)[:, None] + np.arange(w)
-    dx, dy = cols - x[:, None], np.arange(dy_min[0], dy_max[0] + 1)
-    ties = keys.ties(np.abs(dx)[:, :, None] + np.abs(dy), (y + dy) * width + cols[:, :, None])
-    box = ties[0].size
-    # every candidate's key at its bound, from the strip of anchor rows the row reaches
+    k, bs = len(tiles), tiles.shape[-1]
+    height, width = anchor.shape
+    keys = CandidateKeys(width, height, bs)
+    dx_min, dx_max, dy_min, dy_max = bounds
+    # A block's candidates are the h x w window origins from (top, left)
+    # that hold its box, within the frame: [block, row, column].
+    h, w = int((dy_max - dy_min).max()) + 1, int((dx_max - dx_min).max()) + 1
+    top, left = np.minimum(y + dy_min, height - bs + 1 - h), np.minimum(x + dx_min, width - bs + 1 - w)
+    rows, cols = top[:, None] + np.arange(h), left[:, None] + np.arange(w)
+    dy, dx = rows - y[:, None], cols - x[:, None]
+    box = h * w
+    # every candidate's bound, from the quadrant sums of the anchor rectangle the blocks reach
+    r0, c0 = top.min(), left.min()
+    sums = quadrant_sums(anchor[r0 : rows.max() + bs, c0 : cols.max() + bs], bs)
+    flat = ((rows - r0) * sums.shape[2])[:, :, None] + (cols - c0)[:, None]
+    gap = np.take(sums.reshape(4, -1), flat, axis=1)
+    del sums, flat
     cuts = [0, bs // 2]
-    parts = np.add.reduceat(np.add.reduceat(tiles, cuts, axis=2, dtype=np.int64), cuts, axis=1)
-    gap = np.take(_partition_sums(anchor[y + dy[0] : y + dy[-1] + bs], bs), cols, axis=2)
-    gap -= parts.transpose(2, 1, 0)[..., None, None]
+    parts = np.add.reduceat(np.add.reduceat(tiles, cuts, axis=2, dtype=np.int32), cuts, axis=1)
+    gap -= parts.reshape(k, 4).T[:, :, None, None]
     np.abs(gap, out=gap)
-    bound = gap.reshape(4, -1).sum(0).reshape(ties.shape)
+    bound = np.multiply(gap.sum(0, dtype=np.int32), keys.unit, dtype=np.int64)  # a bound fits int32, as a SAD does
     del gap
-    bound *= keys.unit
+    # its key at that bound: ties holds each candidate's key at zero cost,
+    # the sum of its row's and its column's share (CandidateKeys.ties is linear)
+    ties = keys.ties(np.abs(dy), rows * width)[:, :, None] + keys.ties(np.abs(dx), cols)[:, None]
     bound += ties
-    bound[(dx < dx_min[:, None]) | (dx > dx_max[:, None])] = INT64_MAX
+    bound[(dy < dy_min[:, None]) | (dy > dy_max[:, None])] = INT64_MAX  # the rows and columns outside the box
+    bound.swapaxes(1, 2)[(dx < dx_min[:, None]) | (dx > dx_max[:, None])] = INT64_MAX
     # each block's upper key, and the candidates whose bound key does not rank after it
     lowest = ties.reshape(k, box)[np.arange(k), bound.reshape(k, box).argmin(1)]
     row, col = np.divmod(lowest % keys.area, width)
     upper = sad_sums(windows[row, col], tiles) * keys.unit + lowest
     survivors = np.flatnonzero(bound <= upper[:, None, None])
-    del bound
     ranked = ties.ravel()[survivors]
+    del bound, ties
     step = max(1, min(box, ES_GATHER_PIXELS // (bs * bs)))
     for lo in range(0, len(ranked), step):
         tie = ranked[lo : lo + step]
@@ -267,8 +273,14 @@ def es_row(anchor: np.ndarray, costs: list[BlockCost]) -> np.ndarray:
 
 def es_search(cost: BlockCost) -> MotionVector:
     """Exhaustive scan of every legal displacement in the cost's window:
-    es_row's one-block case, on the plane under the cost's window view."""
-    return tuple(es_row(anchor_plane(cost.windows), [cost])[0].tolist())
+    es_blocks's one-block case, on the plane under the cost's window view.
+    The block queries (0, 0) through `cost` and its counter then records the
+    whole box, scored only when its memo is read."""
+    cost((0, 0))
+    cost.counter.record_box(cost.bounds, cost.box_sums)
+    x, y, *bounds = (np.array([v]) for v in (cost.x, cost.y, *cost.bounds))
+    vector = es_blocks(anchor_plane(cost.windows), cost.windows, cost.tgt[None], x, y, bounds)
+    return tuple(vector[0].tolist())
 
 
 def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern, known):
@@ -394,17 +406,26 @@ def estimate(
     windows = anchor_windows(anc, config.block_size)
 
     if algorithm == "es":  # ES prejudges nothing, so every block moves
-        for start in range(0, grid.n_blocks, grid.cols):
-            row = range(start, start + grid.cols)
-            costs = [
-                BlockCost(windows, tgt, block_origin(grid, index), config.block_size, EvalCounter(), window)
-                for index in row
-            ]
-            vectors[row.start : row.stop] = es_row(anc, costs)
-            for index, cost in zip(row, costs):
-                evals[index] = cost.counter.evals
-                if keep_memos:
-                    field.memos[index] = cost.counter.memo
+        bs = config.block_size
+        ys, xs = (np.indices((grid.rows, grid.cols)) * bs).reshape(2, -1)
+        dx_min, dx_max, dy_min, dy_max = displacement_bounds(anchor.width, anchor.height, (xs, ys), bs)
+        bounds = (np.maximum(dx_min, -p), np.minimum(dx_max, p), np.maximum(dy_min, -p), np.minimum(dy_max, p))
+        widths, heights = bounds[1] - bounds[0] + 1, bounds[3] - bounds[2] + 1
+        evals[:] = widths * heights  # every displacement of the box
+        # as many whole grid rows per call as ES_GATHER_PIXELS holds four sums of each candidate of
+        step = max(1, ES_GATHER_PIXELS // (4 * int(widths.max() * heights.max()) * grid.cols))
+        tiles = grid.tiles(tgt)
+        for lo in range(0, grid.rows, step):
+            part = slice(lo * grid.cols, (lo + step) * grid.cols)
+            row_tiles = tiles[lo : lo + step].reshape(-1, bs, bs)
+            vectors[part] = es_blocks(anc, windows, row_tiles, xs[part], ys[part], [b[part] for b in bounds])
+        for index in range(grid.n_blocks):
+            # each block's one query of the cost layer, which wrappers of BlockCost.__call__ see as ES work
+            cost = BlockCost(windows, tgt, block_origin(grid, index), bs, EvalCounter(), window)
+            cost((0, 0))
+            if keep_memos:
+                cost.counter.record_box(cost.bounds, cost.box_sums)
+                field.memos[index] = cost.counter.memo
         return field
 
     if algorithm == "arps":

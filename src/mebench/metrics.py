@@ -2,11 +2,11 @@
 
 BlockCost is the memoized per-block cost oracle: ARPS queries it one
 displacement at a time, and ES queries its co-located point and records its
-whole window, every oracle reading one anchor_windows view per frame pair, as
-PairCost does; anchor_plane inverts that view. EvalCounter is the block's
-ledger: it counts a recorded window as a pending box and scores it into its
-memo (BlockCost.box_sums) only when the memo is read, so a run that keeps no
-memos scores and builds none of their entries. PairCost scores many (block,
+whole window only when the memos are kept (keep_memos), every oracle reading
+one anchor_windows view per frame pair, as PairCost does; anchor_plane
+inverts that view. EvalCounter is the block's ledger: it counts a recorded
+window as a pending box and scores it into its memo (BlockCost.box_sums)
+only when the memo is read. PairCost scores many (block,
 displacement) pairs of one frame pair in one gather, for the lockstep
 diamond search and the column-wavefront swarm; its memo records the distinct
 ones. candidate_key is the one order on candidates: ARPS compares its

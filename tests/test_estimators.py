@@ -129,6 +129,52 @@ def test_es_scores_few_of_its_candidates_on_a_pan(monkeypatch):
     assert sum(scored) < 0.25 * field.total_evals, sum(scored)
 
 
+@pytest.mark.parametrize("content", ["pan", "noise"])
+def test_es_chunking_never_changes_a_result(monkeypatch, content):
+    # No workload splits a QCIF frame at p = 7 into several es_blocks calls,
+    # so only this test runs that path: one grid row per call, then the
+    # whole frame in one, must give the same vectors, evals and memos.
+    if content == "pan":
+        frames = load_script("benchmarks/clips.py", "mebench_bench_clips", monkeypatch).pan_frames(0)
+        anchor, target = Frame(frames[0]), Frame(frames[1])
+    else:
+        anchor, target = noise_frame(144, 176, 40), noise_frame(144, 176, 41)
+    es_blocks, calls = estimators.es_blocks, []
+
+    def counted(*args):
+        calls.append(len(args[2]))  # the blocks of the call
+        return es_blocks(*args)
+
+    monkeypatch.setattr(estimators, "es_blocks", counted)
+    row = 4 * 15 * 15 * 11  # the four quadrant sums of each candidate of one grid row of 11 blocks
+    fields = []
+    for pixels, blocks in ((row, [11] * 9), (9 * row, [99])):
+        monkeypatch.setattr(estimators, "ES_GATHER_PIXELS", pixels)
+        calls.clear()
+        fields.append(estimate("es", anchor, target, EstimatorConfig(search_param=7), keep_memos=True))
+        assert calls == blocks
+    by_row, whole = fields
+    assert np.array_equal(by_row.vectors, whole.vectors)
+    assert np.array_equal(by_row.evals_per_block, whole.evals_per_block)
+    assert [list(m.items()) for m in by_row.memos] == [list(m.items()) for m in whole.memos]
+
+
+@pytest.mark.parametrize("bs", [2, 15, 64])
+def test_quadrant_sums_are_exact_when_the_integral_image_wraps(bs):
+    # 64 x 64 pixels of 2**20 sum to 2**32, so the int32 running sums wrap
+    plane = np.full((64, 64), 2**20, dtype=np.int32)
+    sums = estimators.quadrant_sums(plane, bs)
+    n, half = 64 - bs + 1, bs // 2
+    expected = np.empty((4, n, n), dtype=np.int64)
+    for r in range(n):
+        for c in range(n):
+            window = plane[r : r + bs, c : c + bs].astype(np.int64)
+            top, bottom = window[:half], window[half:]
+            expected[:, r, c] = [top[:, :half].sum(), top[:, half:].sum(), bottom[:, :half].sum(), bottom[:, half:].sum()]
+    assert sums.dtype == np.int32
+    assert np.array_equal(sums, expected)
+
+
 # (anchor, target, search_param, tracemalloc peak allowed in MiB): twice the
 # peak of the per-block full-window search on each pair (10.5-10.6 MiB, 10.5
 # MiB and 3.9 MiB). Past the frame's larger side, every block's window is the

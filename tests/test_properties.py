@@ -1,5 +1,5 @@
 """Differential properties of the array fast paths against small scalar
-references: ES's elimination engine (es_row) against a raster scan of single
+references: ES's elimination engine against a raster scan of single
 BlockCost queries, alone (es_search) and inside `estimate`, on short and tall
 frames, at windows up to past the frame's larger side and on tie-heavy frames
 where the tie-break decides; anchor_plane against the plane its window view

@@ -2,7 +2,8 @@
 memo hits off BlockCost.__call__. A renamed target, ES or ARPS no longer
 calling __call__, or the swarm binding its column step at import time (so a
 wrapped module attribute is never called) turns its per-layer metrics into
-null or zero; these tests catch all three. They also hold `estimate` to
+null or zero; these tests catch all three, and hold ES to exactly one
+co-located call per block, the count CI pins. They also hold `estimate` to
 prejudging a whole frame before building any per-block cost oracle, the
 package's `__all__` to names that exist: exactly the README's library and the
 names the acceptance gate imports from mebench, each engine to its own
@@ -53,6 +54,24 @@ def test_es_makes_memo_miss_calls(monkeypatch):
     anchor, target = shifted_pair(48, 64, (2, 1), seed=0)
     field = estimate("es", anchor, target)
     assert sum(misses) >= field.grid.n_blocks  # at least one per block
+
+
+@pytest.mark.parametrize("keep_memos", [False, True])
+def test_es_makes_one_memo_miss_call_per_block_at_zero(monkeypatch, keep_memos):
+    # CI pins metrics.cost_calls_per_pair at 99 on qcif-pan-es: one call per
+    # block of a QCIF frame, each a miss, so no more and no fewer may reach
+    # the tracer's wrap point.
+    call = BlockCost.__call__
+    calls = []
+
+    def counted(self, d):
+        calls.append(((self.x, self.y), d, d in self.counter.memo))
+        return call(self, d)
+
+    monkeypatch.setattr(BlockCost, "__call__", counted)
+    anchor, target = shifted_pair(48, 64, (2, 1), seed=0)
+    field = estimate("es", anchor, target, keep_memos=keep_memos)
+    assert calls == [(block_origin(field.grid, i), (0, 0), False) for i in range(field.grid.n_blocks)]
 
 
 def static_and_patch_clip() -> tuple[Frame, Frame]:

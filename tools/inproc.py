@@ -167,8 +167,10 @@ def main(argv=None) -> int:
             for side in order:
                 result = None if results is None else results[side]
                 runs.append({"rep": rep, "side": side, "first": side == order[0], "result": result})
-                ds = None if result is None else result["ms_per_pair"]["pan"].get("ds")
-                print(f"rep {rep} {side}: pan ds {ds} ms/pair", file=sys.stderr)
+                pan = "failed" if result is None else " ".join(
+                    f"{matcher} {ms:.3f}" for matcher, ms in result["ms_per_pair"]["pan"].items()
+                )
+                print(f"rep {rep} {side}: pan ms/pair {pan}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
