@@ -15,18 +15,18 @@ a lower bound from the 2x2 quadrant sums of one int32 integral image rules
 out most of each window, and only the rest is scored. Each ES block counts
 every displacement of its window and keeps a BlockCost only for its one
 co-located query; under keep_memos its counter records the whole window,
-scored when the memo is read. ARPS searches one block at a time through its BlockCost, scoring its start
-set and then each unit rood one point at a time, in one loop. DS, whose
-blocks are independent, walks every moving block's diamond in lockstep, each
-step ranking only the points the block's last diamond did not hold. The
-swarm (pso.search) draws the pair's stream and runs one grid column at a
-time, each column's vectors written to the field before the next reads them.
-Both score through one PairCost per frame pair. Every oracle of a pair
-reads one anchor_windows view, built once a block moves. Every memo counts a
-revisited displacement once and keeps its first-query order, and ties are
-broken uniformly by candidate_key (center-biased, then raster order).
-Compensation reads the anchor's blocks through the same anchor_windows
-helper.
+scored when the memo is read. ARPS searches one block at a time through its
+BlockCost, scoring its start set and then each unit rood one point at a
+time, in one loop. DS, whose blocks are independent, walks every moving
+block's diamond in lockstep, each step ranking only the points the block's
+last diamond did not hold. The swarm (pso.search) draws the pair's stream
+and runs one grid column at a time, each column's vectors written to the
+field before the next reads them. Both score through one PairCost per frame
+pair. Every oracle of a pair reads one anchor_windows view, built once a
+block moves. Every memo counts a revisited displacement once and keeps its
+first-query order, and ties are broken uniformly by candidate_key
+(center-biased, then raster order). Compensation reads the anchor's blocks
+through the same anchor_windows helper.
 """
 
 from __future__ import annotations

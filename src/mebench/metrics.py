@@ -6,16 +6,16 @@ whole window only when the memos are kept (keep_memos), every oracle reading
 one anchor_windows view per frame pair, as PairCost does; anchor_plane
 inverts that view. EvalCounter is the block's ledger: it counts a recorded
 window as a pending box and scores it into its memo (BlockCost.box_sums)
-only when the memo is read. PairCost scores many (block,
-displacement) pairs of one frame pair in one gather, for the lockstep
-diamond search and the column-wavefront swarm; its memo records the distinct
-ones. candidate_key is the one order on candidates: ARPS compares its
-tuples, and CandidateKeys ranks the array paths' candidates, ES's included,
-as int64 keys that order exactly as it does. sad_sums is the one place where
-a strided window difference is reduced: ES's survivors and pending boxes,
-the pair gather (PairCost.rank) and `estimate`'s prejudgment all sum
-through it, in int32, and get int64 sums back; a block side whose raw sum
-could pass int32 is refused (blocks.MAX_BLOCK_SIZE).
+only when the memo is read. PairCost scores many (block, displacement) pairs
+of one frame pair in one gather, for the lockstep diamond search and the
+column-wavefront swarm; its memo records the distinct ones. candidate_key is
+the one order on candidates: ARPS compares its tuples, and CandidateKeys
+ranks the array paths' candidates, ES's included, as int64 keys that order
+exactly as it does. sad_sums is the one place where a strided window
+difference is reduced: ES's survivors and pending boxes, the pair gather
+(PairCost.rank) and `estimate`'s prejudgment all sum through it, in int32,
+and get int64 sums back; a block side whose raw sum could pass int32 is
+refused (blocks.MAX_BLOCK_SIZE).
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N

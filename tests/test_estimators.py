@@ -170,7 +170,7 @@ def test_quadrant_sums_are_exact_when_the_integral_image_wraps(bs):
         for c in range(n):
             window = plane[r : r + bs, c : c + bs].astype(np.int64)
             top, bottom = window[:half], window[half:]
-            expected[:, r, c] = [top[:, :half].sum(), top[:, half:].sum(), bottom[:, :half].sum(), bottom[:, half:].sum()]
+            expected[:, r, c] = [part.sum() for band in (top, bottom) for part in (band[:, :half], band[:, half:])]
     assert sums.dtype == np.int32
     assert np.array_equal(sums, expected)
 
