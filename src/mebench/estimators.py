@@ -14,8 +14,9 @@ one link between blocks. ES searches whole grid rows of a frame per call
 a lower bound from the 2x2 quadrant sums of one int32 integral image rules
 out most of each window, and only the rest is scored. Each ES block counts
 every displacement of its window and keeps a BlockCost only for its one
-co-located query; under keep_memos its counter records the whole window,
-scored when the memo is read. ARPS searches one block at a time through its
+co-located query; under keep_memos it scores the whole window into its memo
+(BlockCost.score_box). es_search, the acceptance gate's ES, is that plain
+scan of one block's window. ARPS searches one block at a time through its
 BlockCost, scoring its start set and then each unit rood one point at a
 time, in one loop. DS, whose blocks are independent, walks every moving
 block's diamond in lockstep, each step ranking only the points the block's
@@ -43,7 +44,6 @@ from .metrics import (
     CandidateKeys,
     EvalCounter,
     PairCost,
-    anchor_plane,
     anchor_windows,
     candidate_key,
     sad_sums,
@@ -272,15 +272,17 @@ def es_blocks(anchor: np.ndarray, windows: np.ndarray, tiles: np.ndarray, x, y, 
 
 
 def es_search(cost: BlockCost) -> MotionVector:
-    """Exhaustive scan of every legal displacement in the cost's window:
-    es_blocks's one-block case, on the plane under the cost's window view.
-    The block queries (0, 0) through `cost` and its counter then records the
-    whole box, scored only when its memo is read."""
+    """Exhaustive scan of every legal displacement in the cost's window: the
+    block queries (0, 0) through `cost`, scores the whole box into its
+    counter's memo (BlockCost.score_box) and returns the box's candidate_key
+    minimum."""
     cost((0, 0))
-    cost.counter.record_box(cost.bounds, cost.box_sums)
-    x, y, *bounds = (np.array([v]) for v in (cost.x, cost.y, *cost.bounds))
-    vector = es_blocks(anchor_plane(cost.windows), cost.windows, cost.tgt[None], x, y, bounds)
-    return tuple(vector[0].tolist())
+    sums = cost.score_box()
+    dx_min, dx_max, dy_min, dy_max = cost.bounds
+    d = np.stack(np.meshgrid(np.arange(dx_min, dx_max + 1), np.arange(dy_min, dy_max + 1)), axis=-1)
+    keys = CandidateKeys(cost.width, cost.height, cost.block_size)
+    best = keys.encode(sums, d, keys.at(cost.y * cost.width + cost.x, d)).argmin()
+    return tuple(d.reshape(-1, 2)[best].tolist())
 
 
 def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern, known):
@@ -424,7 +426,7 @@ def estimate(
             cost = BlockCost(windows, tgt, block_origin(grid, index), bs, EvalCounter(), window)
             cost((0, 0))
             if keep_memos:
-                cost.counter.record_box(cost.bounds, cost.box_sums)
+                cost.score_box()
                 field.memos[index] = cost.counter.memo
         return field
 

@@ -1,21 +1,20 @@
 """Matching cost and reconstruction quality metrics.
 
 BlockCost is the memoized per-block cost oracle: ARPS queries it one
-displacement at a time, and ES queries its co-located point and records its
-whole window only when the memos are kept (keep_memos), every oracle reading
-one anchor_windows view per frame pair, as PairCost does; anchor_plane
-inverts that view. EvalCounter is the block's ledger: it counts a recorded
-window as a pending box and scores it into its memo (BlockCost.box_sums)
-only when the memo is read. PairCost scores many (block, displacement) pairs
-of one frame pair in one gather, for the lockstep diamond search and the
-column-wavefront swarm; its memo records the distinct ones. candidate_key is
-the one order on candidates: ARPS compares its tuples, and CandidateKeys
-ranks the array paths' candidates, ES's included, as int64 keys that order
-exactly as it does. sad_sums is the one place where a strided window
-difference is reduced: ES's survivors and pending boxes, the pair gather
-(PairCost.rank) and `estimate`'s prejudgment all sum through it, in int32,
-and get int64 sums back; a block side whose raw sum could pass int32 is
-refused (blocks.MAX_BLOCK_SIZE).
+displacement at a time, and ES queries its co-located point and scores its
+whole window into the memo (BlockCost.score_box) only when the memos are
+kept (keep_memos), every oracle reading one anchor_windows view per frame
+pair, as PairCost does. EvalCounter is the block's ledger: a memo dict and
+its count of distinct displacements. PairCost scores many (block,
+displacement) pairs of one frame pair in one gather, for the lockstep
+diamond search and the column-wavefront swarm; its memo records the distinct
+ones. candidate_key is the one order on candidates: ARPS compares its
+tuples, and CandidateKeys ranks the array paths' candidates, ES's included,
+as int64 keys that order exactly as it does. sad_sums is the one place where
+a strided window difference is reduced: ES's survivors and scored windows,
+the pair gather (PairCost.rank) and `estimate`'s prejudgment all sum through
+it, in int32, and get int64 sums back; a block side whose raw sum could pass
+int32 is refused (blocks.MAX_BLOCK_SIZE).
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -25,9 +24,6 @@ it in one array op, so static blocks never reach a cost oracle.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,16 +39,6 @@ PSNR_CAP_DB = 100.0
 def anchor_windows(anchor: np.ndarray, block_size: int) -> np.ndarray:
     """A plane's block windows as one read-only view, [y, x] the block at (x, y); a view passes as is."""
     return anchor if anchor.ndim == 4 else sliding_window_view(anchor, (block_size, block_size))
-
-
-def anchor_plane(windows: np.ndarray) -> np.ndarray:
-    """The plane an anchor_windows view was built from, in four slices: every
-    window's top-left pixel, the last column's right edge, the last row's
-    bottom edge and the last window's bottom-right corner."""
-    return np.block([
-        [windows[:, :, 0, 0], windows[:, -1, 0, 1:]],
-        [windows[-1, :, 1:, 0].T, windows[-1, -1, 1:, 1:]],
-    ])
 
 
 def sad_sum(a: np.ndarray, b: np.ndarray) -> int:
@@ -84,51 +70,20 @@ def sad_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class EvalCounter:
-    """Per-block ledger of distinct cost evaluations. Its state is its own:
-    every reader, BlockCost included, goes through memo, record_box and evals.
+    """Per-block ledger of distinct cost evaluations.
 
-    memo maps each clamped displacement to its raw SAD sum; re-querying a
-    memoized displacement is free and does not count as new work. A given
-    memo dict is used in place, entries already in it included, but a box
-    whose every displacement is counted at once (record_box) reaches it only
-    through memo: the box is kept pending as (bounds, scorer) and scored and
-    merged the first time memo is read, after the entries already there (a
-    key already present keeps its place), in (dy, dx) raster order. evals
-    counts the distinct displacements without scoring the box.
-
-    While no box is pending, memo is a plain instance attribute, read with no
-    call; record_box drops it, and the next read merges the box and sets it
-    again (the functools.cached_property pattern).
+    memo maps each clamped displacement to its raw SAD sum, in first-query
+    order; re-querying a memoized displacement is free and does not count as
+    new work. A given memo dict is used in place, entries already in it
+    included. evals counts the distinct displacements.
     """
 
     def __init__(self, memo: dict[MotionVector, int] | None = None):
-        self._memo: dict[MotionVector, int] = {} if memo is None else memo
-        self._box: tuple[tuple[int, int, int, int], Callable[[], np.ndarray]] | None = None
-        self.memo = self._memo
-
-    @cached_property
-    def memo(self) -> dict[MotionVector, int]:
-        (dx_min, dx_max, dy_min, dy_max), scorer = self._box
-        self._box = None
-        dxs = range(dx_min, dx_max + 1)
-        keys = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs)
-        self._memo.update(zip(keys, scorer().ravel().tolist()))
-        return self._memo
-
-    def record_box(self, bounds: tuple[int, int, int, int], scorer: Callable[[], np.ndarray]) -> None:
-        """Count every displacement in the box `bounds` as evaluated; `scorer`
-        returns their (dy, dx) array of raw costs when memo is read."""
-        self.memo  # a pending box merges first, so memo order stays query order
-        del self.memo
-        self._box = (bounds, scorer)
+        self.memo: dict[MotionVector, int] = {} if memo is None else memo
 
     @property
     def evals(self) -> int:
-        if self._box is None:
-            return len(self._memo)
-        dx_min, dx_max, dy_min, dy_max = self._box[0]
-        inside = sum(dx_min <= dx <= dx_max and dy_min <= dy <= dy_max for dx, dy in self._memo)
-        return len(self._memo) + (dx_max - dx_min + 1) * (dy_max - dy_min + 1) - inside
+        return len(self.memo)
 
 
 class BlockCost:
@@ -140,7 +95,7 @@ class BlockCost:
     at origin + d. `bounds`, the one box of legal queries, is the frame's
     (displacement_bounds) cut to an optional window (dx_min, dx_max, dy_min,
     dy_max); `legal` is the one test against it, and a query it refuses raises.
-    A query reads and fills counter.memo, so a pending box is merged first."""
+    A query reads and fills counter.memo."""
 
     def __init__(
         self,
@@ -180,13 +135,18 @@ class BlockCost:
             memo[d] = c
         return c
 
-    def box_sums(self) -> np.ndarray:
-        """Raw SAD sum of every displacement in `bounds`, as a (dy, dx) array
-        whose [0, 0] is (dx_min, dy_min): the scorer of the box that ES
-        records in the counter, called when the memo is read."""
+    def score_box(self) -> np.ndarray:
+        """Score every displacement in `bounds` in one gather (sad_sums) into
+        counter.memo, in (dy, dx) raster order after the entries already
+        there (a key already present keeps its place), and return the raw
+        sums as a (dy, dx) array whose [0, 0] is (dx_min, dy_min)."""
         dx_min, dx_max, dy_min, dy_max = self.bounds
         x, y = self.x, self.y
-        return sad_sums(self.windows[y + dy_min : y + dy_max + 1, x + dx_min : x + dx_max + 1], self.tgt)
+        sums = sad_sums(self.windows[y + dy_min : y + dy_max + 1, x + dx_min : x + dx_max + 1], self.tgt)
+        dxs = range(dx_min, dx_max + 1)
+        keys = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs)
+        self.counter.memo.update(zip(keys, sums.ravel().tolist()))
+        return sums
 
 
 def sad_at(

@@ -122,26 +122,6 @@ def test_sad_at_rejects_unclamped_displacement():
         sad_at(EvalCounter(), anchor, target, (0, 0), (-1, 0), 16)
 
 
-def test_eval_counter_memo_is_an_attribute_while_no_box_pends():
-    # A query reads memo from the instance with no call; a recorded box drops
-    # it until the next read scores the box, once, and sets it again.
-    counter = EvalCounter({(0, 0): 1})
-    assert vars(counter)["memo"] == {(0, 0): 1}
-    calls = []
-
-    def scorer():
-        calls.append(1)
-        return np.arange(6).reshape(2, 3)
-
-    counter.record_box((-1, 1, 0, 1), scorer)
-    assert "memo" not in vars(counter)
-    assert counter.evals == 6 and calls == []  # counted, not scored
-    box = [((-1, 0), 0), ((0, 0), 1), ((1, 0), 2), ((-1, 1), 3), ((0, 1), 4), ((1, 1), 5)]
-    assert list(counter.memo.items()) == [box[1], box[0], *box[2:]]  # (0, 0) keeps its place
-    assert vars(counter)["memo"] is counter.memo and calls == [1]
-    assert counter.evals == 6
-
-
 def test_block_cost_refuses_a_frame_legal_query_outside_its_window():
     anchor, target = shifted_pair(48, 64, (1, 1), seed=14)
     counter = EvalCounter()

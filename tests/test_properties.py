@@ -1,10 +1,11 @@
 """Differential properties of the array fast paths against small scalar
-references: ES's elimination engine against a raster scan of single
-BlockCost queries, alone (es_search) and inside `estimate`, on short and tall
-frames, at windows up to past the frame's larger side and on tie-heavy frames
-where the tie-break decides; anchor_plane against the plane its window view
-was built from; EvalCounter's pending box against a memo filled eagerly in
-query order; DS and ARPS inside `estimate` against plain pattern walks (same
+references: ES against a raster scan of single BlockCost queries, as the
+plain scan alone (es_search) and as the elimination engine inside
+`estimate`, on short and tall frames, at windows up to past the frame's
+larger side and on tie-heavy frames where the tie-break decides, es_search
+scoring the window into the caller's memo dict before the memo is read;
+BlockCost.score_box against a memo filled one query at a time, in query
+order; DS and ARPS inside `estimate` against plain pattern walks (same
 vectors, same memo order); the whole-swarm array update of pso_match against
 the per-particle, per-dimension loop it replaced (alone, and inside
 `estimate` with the start rule and one stream per pair); and compensate's
@@ -50,7 +51,6 @@ from mebench.metrics import (
     BlockCost,
     CandidateKeys,
     PairCost,
-    anchor_plane,
     anchor_windows,
     candidate_key,
 )
@@ -266,18 +266,24 @@ def test_es_equals_scalar_reference(pair, whole, dtype, layout, windowed, data):
     p = None if whole else data.draw(search_params(anchor))
     window = None if p is None else (-p, p, -p, p)  # None: the whole frame
 
-    def make_cost():
-        counter = EvalCounter()
+    def make_cost(memo):
+        counter = EvalCounter(memo)
         anc, tgt = (in_layout(a.astype(dtype), layout) for a in (anchor, target))
         anc = anchor_windows(anc, bs) if windowed else anc  # the plane or the view estimate hands over
         return BlockCost(anc, tgt, origin, bs, counter, window), counter
 
-    cost, counter = make_cost()
-    ref_cost, ref_counter = make_cost()
+    memo = {}
+    cost, counter = make_cost(memo)
+    ref_cost, ref_counter = make_cost({})
     assert es_search(cost) == reference_es(ref_cost)
 
     dx_min, dx_max, dy_min, dy_max = cost.bounds
     area = (dx_max - dx_min + 1) * (dy_max - dy_min + 1)
+    # scored eagerly: before counter.memo is read, the test's dict holds
+    # (0, 0), then the whole box in raster order
+    box = [(dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1)]
+    assert list(memo) == [(0, 0), *(d for d in box if d != (0, 0))]
+    assert counter.memo is memo
     assert counter.evals == len(counter.memo) == area == ref_counter.evals
     assert counter.memo == ref_counter.memo
     x, y = origin
@@ -303,7 +309,7 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
     memo = dict(expected)
     counter = EvalCounter(memo)
     # one ledger, two oracles: queries through the whole frame box also land
-    # outside the +-p box whose every displacement ES records at once
+    # outside the +-p box whose every displacement ES scores at once
     whole = BlockCost(anc, tgt, origin, bs, counter)
     boxed = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
     dx_min, dx_max, dy_min, dy_max = whole.bounds
@@ -311,14 +317,14 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
     for op in data.draw(st.lists(st.one_of(query, st.just("box"), st.just("evals")), max_size=24)):
         if op == "evals":
             assert counter.evals == len(expected)
+            assert list(memo.items()) == list(expected.items())  # no entry waits to be scored
         elif op == "box":
-            sums = boxed.box_sums()
+            sums = boxed.score_box()
             bx_min, bx_max, by_min, by_max = boxed.bounds
             for dy in range(by_min, by_max + 1):
                 for dx in range(bx_min, bx_max + 1):
                     assert sums[dy - by_min, dx - bx_min] == sad((dx, dy))
                     expected.setdefault((dx, dy), sad((dx, dy)))
-            counter.record_box(boxed.bounds, boxed.box_sums)
         else:
             assert whole(op) == sad(op)
             expected.setdefault(op, sad(op))
@@ -399,15 +405,6 @@ def test_es_ties_at_windows_past_the_frame_equal_scalar_reference(pair, content,
         assert field.vector(row, col) == reference_min(cost, [(0, 0), *window])  # (0, 0) first, as in estimate
         assert list(memo.items()) == list(counter.memo.items())  # same points, same order
         assert field.evals_per_block[row, col] == counter.evals
-
-
-@settings(max_examples=100, deadline=None)
-@given(pair=frame_pairs(), dtype=st.sampled_from([np.int16, np.int32]), layout=st.sampled_from(["C", "F", "strided"]))
-def test_anchor_plane_inverts_anchor_windows(pair, dtype, layout):
-    anchor, _, bs, _ = pair
-    plane = anchor_plane(anchor_windows(in_layout(anchor.astype(dtype), layout), bs))
-    assert plane.dtype == dtype
-    assert np.array_equal(plane, anchor)
 
 
 @st.composite

@@ -6,9 +6,9 @@ null or zero; these tests catch all three, and hold ES to exactly one
 co-located call per block, the count CI pins. They also hold `estimate` to
 prejudging a whole frame before building any per-block cost oracle, the
 package's `__all__` to names that exist: exactly the README's library and the
-names the acceptance gate imports from mebench, each engine to its own
-state: only EvalCounter touches its ledger, and only pso.py builds a random
-stream, and every cost oracle of a frame pair to one anchor window view."""
+names the acceptance gate imports from mebench, the swarm's random stream
+to pso.py, which alone builds one, and every cost oracle of a frame pair to
+one anchor window view."""
 
 from __future__ import annotations
 
@@ -227,14 +227,11 @@ def test_root_exports_the_readme_library_and_the_acceptance_gate_imports():
 
 
 def test_each_engine_owns_its_state():
-    # EvalCounter's pending box and dict are read through memo, record_box and
-    # evals; the swarm's per-pair stream is built by pso.search
+    # the swarm's per-pair stream is built by pso.search
     strays = []
     for path in sorted((REPO / "src" / "mebench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        ledger = {id(n) for c in ast.walk(tree) if getattr(c, "name", None) == "EvalCounter" for n in ast.walk(c)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name in ("_memo", "_box") and id(node) not in ledger or name == "PCG64" and path.name != "pso.py":
+            if name == "PCG64" and path.name != "pso.py":
                 strays.append(f"{path.name}:{node.lineno} {name}")
     assert strays == []
