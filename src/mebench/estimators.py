@@ -432,7 +432,7 @@ def estimate(
 
     if algorithm == "arps":
         for index in moving.tolist():
-            counter = EvalCounter({} if colocated is None else {(0, 0): int(colocated[index])})
+            counter = EvalCounter({(0, 0): int(colocated[index])})
             cost = BlockCost(windows, tgt, block_origin(grid, index), config.block_size, counter, window)
             # a block's one link to the field: its left neighbor's vector
             left = tuple(vectors[index - 1].tolist()) if index % grid.cols else None

@@ -9,7 +9,9 @@ both sides."""
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,7 +90,7 @@ def test_main_alternates_the_first_side_and_writes_the_set(inproc, monkeypatch, 
         made.append([(side, tree.name) for side, tree in trees.items()])
         return {side: _result(8.0 if tree.name == "a" else 4.0) for side, tree in trees.items()}
 
-    monkeypatch.setattr(inproc, "checkout", lambda ref, scratch: Path(ref))
+    monkeypatch.setattr(inproc.pairs, "checkout", lambda ref, scratch: Path(ref))
     monkeypatch.setattr(inproc, "run_child", run_child)
     argv = ["--parent", "a", "--change", "b", "--reps", "2", "--label", "t", "--out", str(tmp_path)]
     assert inproc.main(argv) == 0
@@ -103,13 +105,32 @@ def test_main_alternates_the_first_side_and_writes_the_set(inproc, monkeypatch, 
 
 
 def test_main_records_a_failed_child_as_failed_on_both_sides(inproc, monkeypatch, tmp_path):
-    monkeypatch.setattr(inproc, "checkout", lambda ref, scratch: Path(ref))
+    monkeypatch.setattr(inproc.pairs, "checkout", lambda ref, scratch: Path(ref))
     monkeypatch.setattr(inproc, "run_child", lambda trees: None)
     argv = ["--parent", "a", "--change", "b", "--reps", "1", "--label", "t", "--out", str(tmp_path)]
     assert inproc.main(argv) == 1
     written = json.loads((tmp_path / "INPROC_t.json").read_text())
     assert [run["result"] for run in written["runs"]] == [None, None]
     assert written["summary"]["pan"] == {}
+
+
+@pytest.mark.parametrize(
+    "stdout", ["", "Traceback (most recent call last):\n", '["not", "an object"]\n', '{"parent": {}}\n']
+)
+def test_a_child_whose_last_line_is_no_result_of_both_sides_fails_and_the_set_is_still_written(
+    inproc, monkeypatch, tmp_path, capsys, stdout
+):
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout, "stderr tail")
+
+    monkeypatch.setattr(inproc.pairs, "checkout", lambda ref, scratch: Path(ref))
+    monkeypatch.setattr(inproc, "subprocess", SimpleNamespace(run=run))
+    argv = ["--parent", "a", "--change", "b", "--reps", "2", "--label", "t", "--out", str(tmp_path)]
+    assert inproc.main(argv) == 1
+    assert "stderr tail" in capsys.readouterr().err
+    written = json.loads((tmp_path / "INPROC_t.json").read_text())
+    assert [run["result"] for run in written["runs"]] == [None] * 4
+    assert written["summary"] == {"pan": {}, "static": {}}
 
 
 def test_child_loads_each_side_under_its_own_package_name(inproc):

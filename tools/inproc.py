@@ -4,11 +4,11 @@
     python3 tools/inproc.py --parent HEAD --change HEAD --reps 1 --label smoke
 
 --parent and --change each name a directory holding a checkout of the repo,
-or a git revision, which is exported as tools/pairs.py exports it. Each rep
-runs one child process, which imports both sides' `src/mebench`, each under
-its own package name (the package uses only relative imports), and times
-`estimate` for every matcher on two inputs that this checkout's
-benchmarks/clips.py generates, the same for both sides:
+or a git revision, exported by the A/B driver of tools/pairs.py, which this
+tool shares. Each rep runs one child process, which imports both sides'
+`src/mebench`, each under its own package name (the package uses only
+relative imports), and times `estimate` for every matcher on two inputs
+that this checkout's benchmarks/clips.py generates, the same for both sides:
 
     pan     the 30 pairs of the seed-0 pan clip, zmp_threshold 8, p = 7
     static  the 300 pairs of the seed-0 static clip, zmp_threshold 384, p = 7
@@ -23,7 +23,7 @@ estimated, as one run per side, and, per input and matcher, each side's
 median and quartiles, the change's wins over the parent rep by rep, the
 wins of the side that ran first, whether the gap of the medians exceeds the
 parent's interquartile range, and whether both sides estimated the same
-fields. The exit status is 1 when a child failed.
+fields. The exit status is 1 when a child failed or printed no result.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ import argparse
 import hashlib
 import importlib.util
 import json
-import os
-import platform
-import shutil
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from pairs import ROOT, SIDES, checkout, compare  # noqa: E402
+import pairs  # noqa: E402
+from pairs import ROOT, SIDES  # noqa: E402
 
 PASSES = 5
 INPUTS = {
@@ -100,37 +97,24 @@ def child(srcs: dict[str, str]) -> dict:
 
 def run_child(trees: dict[str, Path]) -> dict | None:
     """One child on the checkouts `trees` (side -> tree, in run order); its
-    result per side, or None when it failed."""
+    result per side, or None when it failed or printed no result for both."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child"]
     cmd += [f"{side}={tree / 'src'}" for side, tree in trees.items()]
     proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        print(proc.stderr[-2000:], file=sys.stderr)
-        return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return pairs.read(proc, lambda result: set(result) == set(SIDES))
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per input and matcher, pairs.compare over the reps in which both
-    sides ran (lower ms per pair is better), plus first_wins, the reps in
-    which the side that ran first read lower (a tie counts for neither), and
-    same_fields, whether every digest of both sides agrees."""
-    reps: dict[int, dict] = {}
-    for run in runs:
-        if run["result"] is not None:
-            reps.setdefault(run["rep"], {})[run["side"]] = (run["result"], run["first"])
-    both = [rep for rep in reps.values() if len(rep) == 2]
+    """Per input and matcher, pairs.compare_rounds over the reps (lower ms
+    per pair is better), plus same_fields, whether every digest agrees: one
+    child times both sides of a rep, so a rep with a result has both."""
+    results = [run["result"] for run in runs if run["result"] is not None]
     summary: dict[str, dict] = {}
     for name in INPUTS:
         summary[name] = {}
-        matchers = dict.fromkeys(m for rep in both for side in SIDES for m in rep[side][0]["ms_per_pair"][name])
-        for matcher in matchers:
-            values = [tuple(rep[side][0]["ms_per_pair"][name][matcher] for side in SIDES) for rep in both]
-            result = compare(values, "lower")
-            result["first_wins"] = sum(
-                (b < a) if rep["change"][1] else (a < b) for (a, b), rep in zip(values, both)
-            )
-            digests = {rep[side][0]["digest"][name][matcher] for rep in both for side in SIDES}
+        for matcher in dict.fromkeys(m for r in results for m in r["ms_per_pair"][name]):
+            result = pairs.compare_rounds(runs, "rep", lambda r: r["ms_per_pair"][name][matcher], "lower")
+            digests = {r["digest"][name][matcher] for r in results}
             result["same_fields"] = len(digests) == 1
             summary[name][matcher] = result
     return summary
@@ -148,21 +132,11 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(child(dict(arg.split("=", 1) for arg in args.child))))
         return 0
-    missing = [f"--{name}" for name in ("parent", "change", "label") if getattr(args, name) is None]
-    if missing:
-        p.error(f"the following arguments are required: {', '.join(missing)}")
-    if args.reps < 1:
-        p.error("--reps must be >= 1")
-    if args.reps > 1 and args.reps % 2:
-        # each side must run first equally often
-        p.error(f"--reps must be 1 or even, got {args.reps}")
+    pairs.check(p, args, "reps")
 
-    scratch = Path(tempfile.mkdtemp(prefix="mebench-inproc-"))
-    try:
-        trees = {side: checkout(getattr(args, side), scratch / side) for side in SIDES}
-        runs = []
-        for rep in range(args.reps):
-            order = SIDES if rep % 2 == 0 else SIDES[::-1]
+    runs = []
+    with pairs.exported(args) as trees:
+        for rep, order in pairs.rounds(args.reps):
             results = run_child({side: trees[side] for side in order})
             for side in order:
                 result = None if results is None else results[side]
@@ -171,23 +145,8 @@ def main(argv=None) -> int:
                     f"{matcher} {ms:.3f}" for matcher, ms in result["ms_per_pair"]["pan"].items()
                 )
                 print(f"rep {rep} {side}: pan ms/pair {pan}", file=sys.stderr)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
-    report = {
-        "label": args.label,
-        "parent": args.parent,
-        "change": args.change,
-        "reps": args.reps,
-        "passes": PASSES,
-        "inputs": INPUTS,
-        "host": {"cpus": os.cpu_count(), "platform": platform.platform(), "python": platform.python_version()},
-        "summary": summarize(runs),
-        "runs": runs,
-    }
-    out = (args.out or ROOT) / f"INPROC_{args.label}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
+    pairs.write(args, "INPROC", {"reps": args.reps, "passes": PASSES, "inputs": INPUTS}, summarize(runs), runs)
     return 1 if any(run["result"] is None for run in runs) else 0
 
 

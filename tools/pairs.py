@@ -22,11 +22,15 @@ change's wins over the parent pair by pair (in the metric's better
 direction), the wins of the side that ran first (the order effect), and
 whether the gap of the medians exceeds the parent's interquartile range.
 The exit status is 1 when any run failed or reported incorrect outputs.
+
+tools/inproc.py shares this module's A/B driver: the argument checks, the
+export, the round order, the child reader, first_wins and the writer.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -47,6 +51,20 @@ SIDES = ("parent", "change")
 WALL = re.compile(r"wall pairs_per_s median (\S+), host speed median (\S+) ")
 
 
+def check(p: argparse.ArgumentParser, args: argparse.Namespace, count: str) -> None:
+    """Exit with a usage error when a side or the label is missing, or the
+    round count --<count> is below 1, or odd but 1."""
+    missing = [f"--{name}" for name in ("parent", "change", "label") if getattr(args, name) is None]
+    if missing:
+        p.error(f"the following arguments are required: {', '.join(missing)}")
+    n = getattr(args, count)
+    if n < 1:
+        p.error(f"--{count} must be >= 1")
+    if n > 1 and n % 2:
+        # each side must run first equally often: the first run reads high
+        p.error(f"--{count} must be 1 or even, got {n}")
+
+
 def checkout(ref: str, scratch: Path) -> Path:
     """The directory of `ref`: itself when it is one, else `scratch`, a new
     directory that an export of the git revision fills."""
@@ -58,6 +76,35 @@ def checkout(ref: str, scratch: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(scratch, filter="data")
     return scratch
+
+
+@contextlib.contextmanager
+def exported(args: argparse.Namespace):
+    """Both sides' trees (side -> tree) for the length of the with block:
+    checkout() of --parent into <tmp>/parent first, then of --change."""
+    scratch = Path(tempfile.mkdtemp(prefix="mebench-ab-"))
+    try:
+        yield {side: checkout(getattr(args, side), scratch / side) for side in SIDES}
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def rounds(count: int) -> list[tuple[int, tuple[str, ...]]]:
+    """Each round's index and its sides in run order; the side that runs
+    first alternates, so a drift in host load falls on both alike."""
+    return [(i, SIDES if i % 2 == 0 else SIDES[::-1]) for i in range(count)]
+
+
+def read(proc: subprocess.CompletedProcess, holds) -> dict | None:
+    """The last stdout line of the finished child `proc`, a JSON object that
+    holds() accepts; else None, once the tail of its stderr is printed."""
+    lines = proc.stdout.strip().splitlines()
+    with contextlib.suppress(json.JSONDecodeError):
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+        if isinstance(result, dict) and holds(result):
+            return result
+    print(proc.stderr[-2000:], file=sys.stderr)
+    return None
 
 
 def end_to_end() -> dict[str, str]:
@@ -75,17 +122,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
-    except json.JSONDecodeError:
-        result = None
-    metrics = result.get("metrics") if isinstance(result, dict) else None
-    if not isinstance(metrics, dict) or not all(
-        isinstance(metrics.get(name), dict) and "value" in metrics[name] for name in end_to_end()
-    ):
-        result = None
-        print(proc.stderr[-2000:], file=sys.stderr)
+    names = end_to_end()
+    result = read(proc, lambda r: isinstance(r.get("metrics"), dict) and all(
+        isinstance(r["metrics"].get(name), dict) and "value" in r["metrics"][name] for name in names
+    ))
     medians = WALL.search(proc.stdout)
     wall, speed = map(float, medians.groups()) if medians else (None, None)
     return {"result": result, "wall_pairs_per_s": wall, "host_speed": speed}
@@ -117,64 +157,69 @@ def compare(both: list[tuple[float, float]], better: str) -> dict | None:
     }
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per workload and end-to-end metric, compare() over the pairs in
-    which both sides ran and measured it, plus first_wins: the pairs in
+def compare_rounds(runs: list[dict], key: str, value, better: str) -> dict | None:
+    """compare() over (parent, change) value(result) in each round run[key]
+    in which both sides ran and measured it, plus first_wins: the rounds in
     which the side that ran first read better (a tie counts for neither)."""
+    done: dict[int, dict] = {}
+    for run in runs:
+        if run["result"] is not None:
+            done.setdefault(run[key], {})[run["side"]] = (value(run["result"]), run["first"])
+    # each round's (parent, change) values, and whether the change ran first
+    both = [((r["parent"][0], r["change"][0]), r["change"][1]) for r in done.values() if len(r) == 2]
+    both = [(v, change_first) for v, change_first in both if None not in v]
+    result = compare([v for v, _ in both], better)
+    if result is not None:
+        sign = 1 if better == "higher" else -1
+        result["first_wins"] = sum(((b - a) if first else (a - b)) * sign > 0 for (a, b), first in both)
+    return result
+
+
+def write(args: argparse.Namespace, prefix: str, fields: dict, summary: dict, runs: list[dict]) -> None:
+    """Write <prefix>_<label>.json into --out (default: the repo root): the
+    label, both sides, the tool's own `fields`, the host, the summary and every run."""
+    host = {"cpus": os.cpu_count(), "platform": platform.platform(), "python": platform.python_version()}
+    report = {"label": args.label, "parent": args.parent, "change": args.change, **fields, "host": host}
+    report.update(summary=summary, runs=runs)
+    out = (args.out or ROOT) / f"{prefix}_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}")
+
+
+def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
+    """Per workload and end-to-end metric, compare_rounds() over its pairs."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
-        pairs: dict[int, dict] = {}
-        for run in runs:
-            if run["workload"] == workload and run["result"] is not None:
-                pairs.setdefault(run["pair"], {})[run["side"]] = (run["result"]["metrics"], run["first"])
-        summary[workload] = {}
-        for metric, better in directions.items():
-            # each pair's (parent, change) values, and whether the change ran first
-            both = [
-                ((p["parent"][0][metric]["value"], p["change"][0][metric]["value"]), p["change"][1])
-                for p in pairs.values()
-                if len(p) == 2
-            ]
-            both = [(v, change_first) for v, change_first in both if None not in v]
-            result = summary[workload][metric] = compare([v for v, _ in both], better)
-            if result is not None:
-                sign = 1 if better == "higher" else -1
-                result["first_wins"] = sum(
-                    ((b - a) if change_first else (a - b)) * sign > 0 for (a, b), change_first in both
-                )
+        mine = [run for run in runs if run["workload"] == workload]
+        summary[workload] = {
+            metric: compare_rounds(mine, "pair", lambda result: result["metrics"][metric]["value"], better)
+            for metric, better in directions.items()
+        }
     return summary
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    p.add_argument("--parent", required=True, help="checkout directory or git revision")
-    p.add_argument("--change", required=True, help="checkout directory or git revision")
+    p.add_argument("--parent", help="checkout directory or git revision")
+    p.add_argument("--change", help="checkout directory or git revision")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--workloads", help="comma-separated; default: every workload in BENCHMARK.json")
-    p.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
+    p.add_argument("--label", help="the output is BENCH_<label>.json")
     p.add_argument("--out", type=Path, help="output directory (default: the repo root)")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be >= 1")
-    if args.pairs > 1 and args.pairs % 2:
-        # each side must run first equally often: the first run reads high
-        p.error(f"--pairs must be 1 or even, got {args.pairs}")
+    check(p, args, "pairs")
 
     known = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else known
     unknown = [w for w in workloads if w not in known]
     if unknown:
         p.error(f"--workloads: unknown {', '.join(unknown)}; BENCHMARK.json names {', '.join(known)}")
-    directions = end_to_end()
-    scratch = Path(tempfile.mkdtemp(prefix="mebench-pairs-"))
-    try:
-        trees = {side: checkout(getattr(args, side), scratch / side) for side in SIDES}
-        runs = []
+    runs = []
+    with exported(args) as trees:
         for workload in workloads:
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for pair, order in rounds(args.pairs):
                 for side in order:
                     run = {"workload": workload, "pair": pair, "side": side, "first": side == order[0]}
                     run.update(run_once(trees[side], workload, args.seed, args.seconds))
@@ -182,27 +227,9 @@ def main(argv=None) -> int:
                     result = run["result"]
                     value = None if result is None else result["metrics"]["pairs_per_s"]["value"]
                     print(f"{workload} pair {pair} {side}: pairs_per_s {value}", file=sys.stderr)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
-    report = {
-        "label": args.label,
-        "command": f"python3 benchmarks/run.py --workload W --seed {args.seed} "
-        f"--seconds {args.seconds:g} --trace 0",
-        "parent": args.parent,
-        "change": args.change,
-        "pairs": args.pairs,
-        "host": {
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "summary": summarize(runs, directions),
-        "runs": runs,
-    }
-    out = (args.out or ROOT) / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
+    command = f"python3 benchmarks/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0"
+    write(args, "BENCH", {"command": command, "pairs": args.pairs}, summarize(runs, end_to_end()), runs)
     bad = [r for r in runs if r["result"] is None or r["result"].get("correct") is not True]
     return 1 if bad else 0
 
