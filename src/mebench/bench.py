@@ -24,7 +24,7 @@ from .blocks import BlockGrid
 from .estimators import ALGORITHMS, EstimatorConfig, MotionField, compensate, estimate
 from .metrics import PSNR_CAP_DB, frame_psnr
 from .pso import PsoConfig
-from .video_io import Sequence, load_raw_yuv, load_y4m, write_pgm
+from .video_io import Sequence, load_raw_yuv, load_y4m, write_file, write_pgm
 
 # Static-block thresholds by sequence name, matched case-insensitively as a
 # substring of the input filename. Always overridable with an explicit value.
@@ -262,12 +262,11 @@ def dump_mv_field(field: MotionField, path: str | Path) -> None:
     """Text dump: header `MVF v1 <cols> <rows> <block_size>`, then one line
     `dx dy evals static` per block in raster order."""
     grid = field.grid
-    lines = [f"MVF v1 {grid.cols} {grid.rows} {grid.block_size}"]
     table = np.column_stack(
         (field.vectors.reshape(-1, 2), field.evals_per_block.ravel(), field.static_flags.ravel())
     )
-    lines += [" ".join(map(str, row)) for row in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    body = "%d %d %d %d\n" * len(table) % tuple(table.ravel().tolist())
+    write_file(path, f"MVF v1 {grid.cols} {grid.rows} {grid.block_size}\n{body}".encode("ascii"))
 
 
 def load_mv_field(path: str | Path) -> MotionField:

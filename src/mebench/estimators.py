@@ -156,7 +156,9 @@ class CompensatedFrame:
 def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
     """Decoder-side reconstruction: copy each block from its displaced anchor
     position; pixels outside the block tiling (right/bottom remainders) are
-    copied co-located."""
+    copied co-located. The frame starts as a copy of the anchor, so a block
+    at (0, 0) already holds its pixels, and only the moved blocks are read
+    and written."""
     grid = field.grid
     if grid != BlockGrid.for_frame(anchor, grid.block_size):
         raise ValueError(
@@ -164,17 +166,20 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
             f"which do not tile the {anchor.width}x{anchor.height} frame"
         )
     bs = grid.block_size
-    ys, xs = np.indices((grid.rows, grid.cols)) * bs
-    dx, dy = field.vectors[..., 0], field.vectors[..., 1]
-    dx_min, dx_max, dy_min, dy_max = displacement_bounds(anchor.width, anchor.height, (xs, ys), bs)
-    illegal = (dx < dx_min) | (dx > dx_max) | (dy < dy_min) | (dy > dy_max)
+    rows, cols = np.nonzero(field.vectors[..., 0] | field.vectors[..., 1])  # the moved blocks, in raster order
+    dx, dy = field.vectors[rows, cols].T
+    # each moved block's displaced origin (x + dx, y + dy), legal when it is a
+    # legal displacement of the block at (0, 0)
+    sx, sy = cols * bs + dx, rows * bs + dy
+    x_min, x_max, y_min, y_max = displacement_bounds(anchor.width, anchor.height, (0, 0), bs)
+    illegal = (sx < x_min) | (sx > x_max) | (sy < y_min) | (sy > y_max)
     if illegal.any():
-        row, col = np.argwhere(illegal)[0]  # the first in raster order
+        first = illegal.argmax()
         raise ValueError(
-            f"block ({col},{row}) carries illegal vector ({dx[row, col]},{dy[row, col]})"
+            f"block ({cols[first]},{rows[first]}) carries illegal vector ({dx[first]},{dy[first]})"
         )
-    out = anchor.luma.copy()  # margins keep the co-located anchor pixels
-    grid.tiles(out)[...] = anchor_windows(anchor.luma, bs)[ys + dy, xs + dx]
+    out = anchor.luma.copy()  # margins and blocks at (0, 0) keep the co-located anchor pixels
+    grid.tiles(out)[rows, cols] = anchor_windows(anchor.luma, bs)[sy, sx]
     return CompensatedFrame(Frame(out))
 
 

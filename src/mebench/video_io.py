@@ -210,10 +210,19 @@ def load_raw_yuv(
     return Sequence(tuple(frames))
 
 
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write `data` as the whole file at `path` in one unbuffered write, with
+    no buffer object between; a short write raises OSError."""
+    with open(path, "wb", buffering=0) as f:
+        written = f.write(data)
+    if written != len(data):
+        raise OSError(f"wrote {written} of {len(data)} bytes to {str(path)!r}")
+
+
 def write_pgm(frame: Frame, path: str | Path) -> None:
     """Write a frame as binary PGM (P5, maxval 255)."""
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.luma.tobytes())
+    write_file(path, header + frame.luma.tobytes())
 
 
 # P5 header: magic, width, height and maxval, split by whitespace and '#'

@@ -232,6 +232,50 @@ def test_mvf_roundtrip(tmp_path):
     assert (back.static_flags == field.static_flags).all()
 
 
+def rowwise_mvf_text(field: MotionField) -> str:
+    """The reference rendering of a .mvf file: the header, then one
+    `" ".join` of each block's row (dx, dy, evals, static)."""
+    grid = field.grid
+    lines = [f"MVF v1 {grid.cols} {grid.rows} {grid.block_size}"]
+    table = np.column_stack(
+        (field.vectors.reshape(-1, 2), field.evals_per_block.ravel(), field.static_flags.ravel())
+    )
+    lines += [" ".join(map(str, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _mvf_fields(rng, grid: BlockGrid):
+    """Fields on `grid`: small and full-range int32 vectors, negative ones
+    included, evals from 0 to the int64 maximum, both static flags, and one
+    field each at the vectors' and counts' extremes."""
+    for lo, hi in ((-8, 8), (-(2**31), 2**31 - 1)):
+        field = MotionField.empty(grid)
+        field.vectors[:] = rng.integers(lo, hi, field.vectors.shape, endpoint=True)
+        field.evals_per_block[:] = rng.integers(0, 2**63 - 1, field.evals_per_block.shape, endpoint=True)
+        field.evals_per_block[rng.random(field.evals_per_block.shape) < 0.5] //= 2**40
+        field.static_flags[:] = rng.random(field.static_flags.shape) < 0.5
+        yield field
+    for vector, evals, static in (((-(2**31), -(2**31)), 0, False), ((2**31 - 1, 2**31 - 1), 2**63 - 1, True)):
+        field = MotionField.empty(grid)
+        field.vectors[:] = vector
+        field.evals_per_block[:] = evals
+        field.static_flags[:] = static
+        yield field
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (11, 9), (5, 3)], ids=["1x1", "qcif", "5x3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_mvf_file_equals_the_row_by_row_text(tmp_path, shape, seed):
+    # golden.json pins only the CSVs, and the benchmark's checks compare dumps
+    # run against run, so this holds every byte of the .mvf format
+    rng = np.random.default_rng([seed, *shape])
+    for i, field in enumerate(_mvf_fields(rng, BlockGrid(16, *shape))):
+        got, want = tmp_path / f"got{i}.mvf", tmp_path / f"want{i}.mvf"
+        dump_mv_field(field, got)
+        want.write_text(rowwise_mvf_text(field))
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_mvf_empty_file_names_the_header(tmp_path):
     path = tmp_path / "empty.mvf"
     path.write_text("")

@@ -1,15 +1,17 @@
-"""tools/inproc.py, the interleaved in-process timer of `estimate` at two
-revisions: its summary (wins, first-run wins, same fields), its argument
-checks, the file it writes and the loading of each side under its own
-package name. No child process is started; main runs against stubbed
-checkouts and children. Every committed INPROC_*.json is held
-to its own runs: its summary is summarize's, and every rep it claims ran on
-both sides."""
+"""tools/inproc.py, the interleaved in-process timer of `estimate` and of
+whole `mebench run`s at two revisions: its summary (wins, first-run wins,
+same fields, same outputs), its argument checks, the file it writes, the
+loading of each side under its own package name, and the child's whole-run
+unit on short clips. No child process is started; main runs against stubbed
+checkouts and children. Every committed INPROC_*.json is held to its own
+runs: its summary is summarize's, and every rep it claims ran on both
+sides."""
 
 from __future__ import annotations
 
 import json
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,6 +33,12 @@ def _result(es: float, ds: float = 2.0, digest: str = "d") -> dict:
         "ms_per_pair": {name: dict(ms) for name in ("pan", "static")},
         "digest": {name: {m: digest for m in ms} for name in ("pan", "static")},
     }
+
+
+def _with_runs(result: dict, static: float, pan: float = 9.0, outputs: str = "o") -> dict:
+    """`result` with the whole-run unit: ms per pair of two workloads."""
+    ms = {"qcif-pan-es": pan, "qcif-static-long": static}
+    return {**result, "run_ms_per_pair": ms, "run_digest": dict.fromkeys(ms, outputs)}
 
 
 def _rep(rep, first, second):
@@ -69,6 +77,64 @@ def test_summarize_drops_a_rep_with_a_failed_side(inproc):
 def test_summarize_flags_sides_that_estimated_different_fields(inproc):
     runs = _rep(0, ("parent", _result(8.0, digest="a")), ("change", _result(4.0, digest="b")))
     assert inproc.summarize(runs)["pan"]["es"]["same_fields"] is False
+
+
+def test_summarize_compares_the_whole_runs_per_workload(inproc):
+    runs = [
+        *_rep(0, ("parent", _with_runs(_result(8.0), 2.0)), ("change", _with_runs(_result(8.0), 1.8))),
+        *_rep(1, ("change", _with_runs(_result(8.0), 1.9)), ("parent", _with_runs(_result(8.0), 2.1))),
+        *_rep(2, ("parent", _with_runs(_result(8.0), 2.2)), ("change", _with_runs(_result(8.0), 2.3))),
+        *_rep(3, ("change", _with_runs(_result(8.0), 1.7)), ("parent", _with_runs(_result(8.0), 1.9))),
+    ]
+    summary = inproc.summarize(runs)
+    assert set(summary) == {"pan", "static", "run"}
+    static = summary["run"]["qcif-static-long"]
+    assert (static["pairs"], static["better"], static["change_wins"], static["first_wins"]) == (4, "lower", 3, 3)
+    assert static["parent"]["median"] == 2.05 and static["change"]["median"] == 1.85
+    assert static["same_outputs"] is True and "same_fields" not in static
+    assert summary["run"]["qcif-pan-es"]["change_wins"] == 0  # 9.0 against 9.0 throughout
+    assert summary["pan"]["es"]["same_fields"] is True
+
+
+def test_summarize_flags_sides_that_wrote_different_outputs(inproc):
+    runs = _rep(
+        0,
+        ("parent", _with_runs(_result(8.0), 2.0, outputs="a")),
+        ("change", _with_runs(_result(8.0), 1.0, outputs="b")),
+    )
+    summary = inproc.summarize(runs)
+    assert summary["run"]["qcif-static-long"]["same_outputs"] is False
+    assert summary["pan"]["es"]["same_fields"] is True  # the fields agree, only the written bytes differ
+
+
+def test_summarize_of_sets_without_the_whole_run_unit_holds_no_run_section(inproc):
+    runs = _rep(0, ("parent", _result(8.0)), ("change", _result(4.0)))
+    assert set(inproc.summarize(runs)) == {"pan", "static"}
+
+
+def test_child_times_every_benchmark_workload_on_short_clips(inproc, monkeypatch, tmp_path):
+    # both sides are this checkout, so every field and every written byte agrees;
+    # the clips are cut to 3 frames and the passes to 1 to keep the test quick.
+    # The benchmark modules the child imports are loaded here under their own
+    # names, so the cut reaches it, and all of them are gone after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in ("check", "clips", "probe", "tracing", "run"):
+        load_script(f"benchmarks/{name}.py", name, monkeypatch)
+    clips, benchmark = sys.modules["clips"], sys.modules["run"]
+    monkeypatch.setattr(inproc, "PASSES", 1)
+    for name in ("pan_frames", "static_frames"):
+        frames = getattr(clips, name)
+        monkeypatch.setattr(clips, name, lambda seed, frames=frames: frames(seed)[:3])
+    monkeypatch.chdir(tmp_path)
+    result = inproc.child({"parent": str(REPO / "src"), "change": str(REPO / "src")})
+    assert Path.cwd() == tmp_path and not list(tmp_path.iterdir())  # the outputs went to a temporary directory
+    assert set(result) == {"parent", "change"}
+    for side in result.values():
+        assert list(side["run_ms_per_pair"]) == list(benchmark.WORKLOADS)
+        assert all(ms > 0 for ms in side["run_ms_per_pair"].values())
+    assert result["parent"]["run_digest"] == result["change"]["run_digest"]
+    assert len(set(result["parent"]["run_digest"].values())) == len(benchmark.WORKLOADS)
+    assert result["parent"]["digest"] == result["change"]["digest"]
 
 
 @pytest.mark.parametrize("count", [0, 3, 5])

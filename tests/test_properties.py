@@ -9,7 +9,8 @@ order; DS and ARPS inside `estimate` against plain pattern walks (same
 vectors, same memo order); the whole-swarm array update of pso_match against
 the per-particle, per-dimension loop it replaced (alone, and inside
 `estimate` with the start rule and one stream per pair); and compensate's
-one gather against a per-block copy loop. Frames are random, flat or
+gather of the moved blocks against a per-block copy loop, with any share of
+the blocks at (0, 0) and on frames with margins. Frames are random, flat or
 tie-heavy; windows are interior, edge-clipped and corner-clipped. Last,
 invariants of `estimate` for every algorithm: legal vectors and memo keys,
 evals == len(memo), the static-block prejudgment and the same field without
@@ -557,6 +558,50 @@ def test_compensate_equals_per_block_reference(pair, n_illegal):
             field.vectors[row, col] = (rng.integers(dx_min, dx_max + 1), rng.integers(dy_min, dy_max + 1))
     for _ in range(n_illegal):
         row, col = (int(rng.integers(0, n)) for n in (field.grid.rows, field.grid.cols))
+        dx_min, dx_max, dy_min, dy_max = displacement_bounds(
+            anchor.width, anchor.height, (col * bs, row * bs), bs
+        )
+        field.vectors[row, col] = rng.choice(
+            [(dx_min - 1, 0), (dx_max + 1, 0), (0, dy_min - 1), (0, dy_max + 1)]
+        )
+
+    try:
+        expected = reference_compensate(anchor, field)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            compensate(anchor, field)
+        assert str(got.value) == str(e)
+    else:
+        assert (compensate(anchor, field).frame.luma == expected).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=frame_pairs(),
+    margins=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    share=st.floats(0, 1),
+    n_illegal=st.integers(0, 2),
+)
+def test_compensate_of_fields_partly_at_zero_equals_per_block_reference(pair, margins, share, n_illegal):
+    # compensate reads and writes only the blocks that moved; a random share
+    # of the blocks, from none to all, sits at (0, 0) here, on a frame whose
+    # right and bottom margins (up to a block side less one) hold their own pixels
+    tiled, _, bs, rng = pair
+    rows, cols = tiled.shape[0] // bs, tiled.shape[1] // bs
+    my, mx = (m % bs for m in margins)
+    luma = rng.integers(0, 256, (rows * bs + my, cols * bs + mx), dtype=np.uint8)
+    luma[: rows * bs, : cols * bs] = tiled[: rows * bs, : cols * bs]
+    anchor = Frame(luma)
+    field = MotionField.empty(BlockGrid.for_frame(anchor, bs))
+    for row in range(rows):
+        for col in range(cols):
+            dx_min, dx_max, dy_min, dy_max = displacement_bounds(
+                anchor.width, anchor.height, (col * bs, row * bs), bs
+            )
+            field.vectors[row, col] = (rng.integers(dx_min, dx_max + 1), rng.integers(dy_min, dy_max + 1))
+    field.vectors[rng.random((rows, cols)) < share] = 0
+    for _ in range(n_illegal):  # no illegal vector is (0, 0)
+        row, col = int(rng.integers(0, rows)), int(rng.integers(0, cols))
         dx_min, dx_max, dy_min, dy_max = displacement_bounds(
             anchor.width, anchor.height, (col * bs, row * bs), bs
         )
