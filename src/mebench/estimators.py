@@ -160,12 +160,12 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
     at (0, 0) already holds its pixels, and only the moved blocks are read
     and written."""
     grid = field.grid
-    if grid != BlockGrid.for_frame(anchor, grid.block_size):
+    bs = grid.block_size
+    if (grid.cols, grid.rows) != (anchor.width // bs, anchor.height // bs):
         raise ValueError(
-            f"field holds {grid.cols}x{grid.rows} blocks of {grid.block_size}, "
+            f"field holds {grid.cols}x{grid.rows} blocks of {bs}, "
             f"which do not tile the {anchor.width}x{anchor.height} frame"
         )
-    bs = grid.block_size
     rows, cols = np.nonzero(field.vectors[..., 0] | field.vectors[..., 1])  # the moved blocks, in raster order
     dx, dy = field.vectors[rows, cols].T
     # each moved block's displaced origin (x + dx, y + dy), legal when it is a

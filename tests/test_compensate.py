@@ -77,6 +77,13 @@ def test_grid_mismatch_rejected():
         compensate(anchor, field)
 
 
+def test_frame_smaller_than_the_field_block_rejected():
+    anchor = noise_frame(8, 8, 5)
+    field = MotionField.empty(BlockGrid(16, 1, 1))
+    with pytest.raises(ValueError, match="1x1 blocks of 16, which do not tile the 8x8 frame"):
+        compensate(anchor, field)
+
+
 def test_es_compensation_improves_on_anchor():
     # piecewise motion: left half shifted (2,1), right half shifted (-1,-2)
     left_a, left_t = shifted_pair(96, 64, (2, 1), seed=6)
