@@ -25,15 +25,14 @@ sides one after the other, and keeps each side's best pass; the side that
 runs first in every pass alternates from rep to rep. So host contention
 that lasts a pass or more falls on both sides alike. Whole runs take one
 untimed pass first, so that no timed run is the first to write on a quiet
-disk. The output holds every
-rep's ms per pair, a digest of the fields each side estimated and a digest
-of every file each side's runs wrote, as one run per side, and, per input
-and matcher and per workload ("run"), each side's median and quartiles, the
-change's wins over the parent rep by rep, the wins of the side that ran
-first, whether the gap of the medians exceeds the parent's interquartile
-range, and whether both sides estimated the same fields (same_fields) or
-wrote the same bytes (same_outputs). The exit status is 1 when a child
-failed or printed no result.
+disk. The output holds every rep's ms per pair, a digest of the fields each
+side estimated and a digest of every file each side's runs wrote, as one
+run per side, and, per input and matcher and per workload ("run"), each
+side's median and quartiles, the change's wins over the parent rep by rep,
+the wins of the side that ran first, whether the gap of the medians exceeds
+the parent's interquartile range, and whether both sides estimated the same
+fields (same_fields) or wrote the same bytes (same_outputs). The exit
+status is 1 when a child failed or printed no result.
 """
 
 from __future__ import annotations
