@@ -13,6 +13,7 @@ half-up to three decimals, in the files and on stdout alike; reruns are byte-ide
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
@@ -24,7 +25,7 @@ from .blocks import BlockGrid
 from .estimators import ALGORITHMS, EstimatorConfig, MotionField, compensate, estimate
 from .metrics import PSNR_CAP_DB, frame_psnr
 from .pso import PsoConfig
-from .video_io import Sequence, load_raw_yuv, load_y4m, write_file, write_pgm
+from .video_io import BackgroundWriter, Sequence, load_raw_yuv, load_y4m, write_file, write_pgm
 
 # Static-block thresholds by sequence name, matched case-insensitively as a
 # substring of the input filename. Always overridable with an explicit value.
@@ -189,26 +190,29 @@ def run(spec: RunSpec) -> SequenceReport:
         (out / "recon").mkdir(exist_ok=True)
 
     rows: list[FrameRow] = []
-    for k in range(1, len(seq)):
-        anchor, target = seq[k - 1], seq[k]
-        for algo in spec.algos:
-            field = estimate(
-                algo, anchor, target, spec.config, spec.pso, seed=spec.seed ^ k
-            )
-            recon = compensate(anchor, field)
-            rows.append(
-                FrameRow(
-                    frame=k,
-                    algo=algo,
-                    evals_total=field.total_evals,
-                    static_blocks=field.static_count,
-                    psnr_db=frame_psnr(target, recon.frame),
+    # dumps are rendered here and written by one thread while the next pairs
+    # run; a run without dumps starts no thread
+    dumps = BackgroundWriter() if spec.dump_mv or spec.dump_recon else contextlib.nullcontext()
+    with dumps as writer:
+        for k in range(1, len(seq)):
+            anchor, target = seq[k - 1], seq[k]
+            for algo in spec.algos:
+                field = estimate(algo, anchor, target, spec.config, spec.pso, seed=spec.seed ^ k)
+                recon = compensate(anchor, field)
+                rows.append(
+                    FrameRow(
+                        frame=k,
+                        algo=algo,
+                        evals_total=field.total_evals,
+                        static_blocks=field.static_count,
+                        psnr_db=frame_psnr(target, recon.frame),
+                    )
                 )
-            )
-            if spec.dump_mv:
-                dump_mv_field(field, out / "mv" / f"{algo}_frame{k:04d}.mvf")
-            if spec.dump_recon:
-                write_pgm(recon.frame, out / "recon" / f"{algo}_frame{k:04d}.pgm")
+                name = f"{algo}_frame{k:04d}"
+                if spec.dump_mv:
+                    dump_mv_field(field, out / "mv" / f"{name}.mvf", write=writer.put)
+                if spec.dump_recon:
+                    write_pgm(recon.frame, out / "recon" / f"{name}.pgm", write=writer.put)
 
     report = SequenceReport(
         algos=list(spec.algos),
@@ -258,15 +262,16 @@ def write_csv(report: SequenceReport, out_dir: str | Path) -> None:
     (out / "meta.json").write_text(json.dumps(report.meta, indent=2) + "\n")
 
 
-def dump_mv_field(field: MotionField, path: str | Path) -> None:
+def dump_mv_field(field: MotionField, path: str | Path, write=write_file) -> None:
     """Text dump: header `MVF v1 <cols> <rows> <block_size>`, then one line
-    `dx dy evals static` per block in raster order."""
+    `dx dy evals static` per block in raster order, written through
+    `write(path, data)`."""
     grid = field.grid
     table = np.column_stack(
         (field.vectors.reshape(-1, 2), field.evals_per_block.ravel(), field.static_flags.ravel())
     )
     body = "%d %d %d %d\n" * len(table) % tuple(table.ravel().tolist())
-    write_file(path, f"MVF v1 {grid.cols} {grid.rows} {grid.block_size}\n{body}".encode("ascii"))
+    write(path, f"MVF v1 {grid.cols} {grid.rows} {grid.block_size}\n{body}".encode("ascii"))
 
 
 def load_mv_field(path: str | Path) -> MotionField:

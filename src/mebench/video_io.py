@@ -6,7 +6,9 @@ luma plane only.
 
 from __future__ import annotations
 
+import queue
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,10 +221,54 @@ def write_file(path: str | Path, data: bytes) -> None:
         raise OSError(f"wrote {written} of {len(data)} bytes to {str(path)!r}")
 
 
-def write_pgm(frame: Frame, path: str | Path) -> None:
-    """Write a frame as binary PGM (P5, maxval 255)."""
+# Most writes a BackgroundWriter holds besides the one its thread is making.
+# Each is one dump file's bytes, so this bounds the memory a run's dumps take.
+MAX_PENDING_WRITES = 8
+
+
+class BackgroundWriter:
+    """Context manager whose `put(path, data)` hands one write_file call to a
+    single thread, which makes them in the order given.
+
+    After the first failed write the thread writes nothing more, and that
+    failure is raised by the next `put` or on exit. Exit waits for every write
+    handed off, also when the block raised; a failed write is raised in place
+    of the block's own error, since it was handed off before that error.
+    """
+
+    def __init__(self):
+        self._pending: queue.Queue = queue.Queue(MAX_PENDING_WRITES)
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._drain, name="mebench-writer")
+
+    def __enter__(self) -> BackgroundWriter:
+        self._thread.start()
+        return self
+
+    def put(self, path: str | Path, data: bytes) -> None:
+        if self._error is not None:
+            raise self._error
+        self._pending.put((path, data))
+
+    def _drain(self) -> None:
+        while (item := self._pending.get()) is not None:
+            if self._error is None:
+                try:
+                    write_file(*item)
+                except BaseException as exc:
+                    self._error = exc
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._pending.put(None)
+        self._thread.join()
+        if self._error is not None and self._error is not exc:
+            raise self._error
+
+
+def write_pgm(frame: Frame, path: str | Path, write=write_file) -> None:
+    """Write a frame as binary PGM (P5, maxval 255), through `write(path, data)`."""
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    write_file(path, header + frame.luma.tobytes())
+    write(path, header + frame.luma.tobytes())
 
 
 # P5 header: magic, width, height and maxval, split by whitespace and '#'

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mebench import BlockGrid, EstimatorConfig, MotionField, bench
+from mebench import BlockGrid, EstimatorConfig, MotionField, bench, estimators, video_io
 from mebench.bench import (
     FrameRow,
     RunSpec,
@@ -430,6 +431,133 @@ def test_cli_raw_needs_dimensions(tmp_path):
 
 def test_cli_io_error_exit_2(tmp_path):
     assert main(["run", "--input", str(tmp_path / "absent.y4m"), "--algos", "es"]) == 2
+
+
+DUMP_ALGOS = ("ds", "arps")
+CSVS = ("per_frame.csv", "summary.csv", "gains.csv", "meta.json")
+
+
+def dump_run_argv(clip: Path, out: Path) -> list[str]:
+    return [
+        "run",
+        "--input", str(clip),
+        "--algos", ",".join(DUMP_ALGOS),
+        "--zmp-threshold", "128",
+        "--out", str(out),
+        "--dump-mv",
+        "--dump-recon",
+    ]
+
+
+def dump_paths(out: Path, n_pairs: int) -> list[Path]:
+    """Every dump of a dump_run_argv run, in the order the run makes them."""
+    return [
+        out / kind / f"{algo}_frame{k:04d}.{ext}"
+        for k in range(1, n_pairs + 1)
+        for algo in DUMP_ALGOS
+        for kind, ext in (("mv", "mvf"), ("recon", "pgm"))
+    ]
+
+
+def held_writes(monkeypatch, fail_at: int | None = None, gate: threading.Event | None = None) -> list[Path]:
+    """Route the dump writer's write_file through a recorder that waits for
+    `gate` before its first write and raises ENOSPC on write number `fail_at`."""
+    write = video_io.write_file
+    calls = []
+
+    def recorded(path, data):
+        calls.append(Path(path))
+        if gate is not None:
+            assert gate.wait(timeout=60)
+        if len(calls) == fail_at:
+            raise OSError(28, "No space left on device", str(path))
+        write(path, data)
+
+    monkeypatch.setattr(video_io, "write_file", recorded)
+    return calls
+
+
+def failing_estimate(monkeypatch, fail_at: int, gate: threading.Event | None = None) -> None:
+    """Make bench's call number `fail_at` to estimate raise, after setting `gate`."""
+    estimate = bench.estimate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == fail_at:
+            if gate is not None:
+                gate.set()
+            raise ValueError("matcher failed")
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "estimate", counted)
+
+
+@pytest.mark.parametrize("fail_at", [1, 6, 16])
+def test_failed_dump_write_exits_2_and_writes_nothing_after_it(tmp_path, capsys, monkeypatch, fail_at):
+    clip, out = make_clip(tmp_path, n_frames=5), tmp_path / "o"
+    order = dump_paths(out, 4)  # 16 dumps
+    calls = held_writes(monkeypatch, fail_at=fail_at)
+    threads = threading.active_count()
+    assert main(dump_run_argv(clip, out)) == 2
+    failed = OSError(28, "No space left on device", str(order[fail_at - 1]))
+    assert capsys.readouterr().err == f"mebench: i/o error: {failed}\n"
+    assert calls == order[:fail_at]  # nothing was tried after the failure
+    assert [p.exists() for p in order] == [True] * (fail_at - 1) + [False] * (len(order) - fail_at + 1)
+    assert not any((out / name).exists() for name in CSVS)
+    assert threading.active_count() == threads
+
+
+def test_matcher_error_leaves_every_dump_handed_off_before_it(tmp_path, monkeypatch):
+    # the writer holds its first write until the matcher fails, so all eight
+    # dumps of pairs 1 and 2 are still pending when the error is raised
+    clip, out = make_clip(tmp_path, n_frames=4), tmp_path / "o"
+    gate = threading.Event()
+    held_writes(monkeypatch, gate=gate)
+    failing_estimate(monkeypatch, fail_at=2 * len(DUMP_ALGOS) + 1, gate=gate)
+    threads = threading.active_count()
+    spec = RunSpec(
+        input=str(clip),
+        algos=list(DUMP_ALGOS),
+        config=EstimatorConfig(zmp_threshold=128),
+        out_dir=str(out),
+        dump_mv=True,
+        dump_recon=True,
+    )
+    with pytest.raises(ValueError, match="matcher failed"):
+        run(spec)
+    assert threading.active_count() == threads
+    order = dump_paths(out, 3)
+    assert [p.exists() for p in order] == [True] * 8 + [False] * 4
+    assert not any((out / name).exists() for name in CSVS)
+    # the same bytes as the dump functions write when called directly
+    ref = tmp_path / "ref"
+    seq = load_input(clip)
+    ref.mkdir()
+    for path in order[:8]:
+        algo, k = path.stem.split("_frame")
+        anchor, target = seq[int(k) - 1], seq[int(k)]
+        field = estimators.estimate(algo, anchor, target, spec.config, spec.pso, seed=spec.seed ^ int(k))
+        if path.suffix == ".mvf":
+            dump_mv_field(field, ref / path.name)
+        else:
+            video_io.write_pgm(estimators.compensate(anchor, field).frame, ref / path.name)
+        assert path.read_bytes() == (ref / path.name).read_bytes()
+
+
+def test_failed_dump_write_wins_over_a_later_matcher_error(tmp_path, capsys, monkeypatch):
+    clip, out = make_clip(tmp_path, n_frames=4), tmp_path / "o"
+    gate = threading.Event()
+    calls = held_writes(monkeypatch, fail_at=1, gate=gate)
+    failing_estimate(monkeypatch, fail_at=3, gate=gate)
+    threads = threading.active_count()
+    assert main(dump_run_argv(clip, out)) == 2
+    first = dump_paths(out, 1)[0]
+    failed = OSError(28, "No space left on device", str(first))
+    assert capsys.readouterr().err == f"mebench: i/o error: {failed}\n"
+    assert calls == [first]
+    assert not any(p.is_file() for p in out.rglob("*"))
+    assert threading.active_count() == threads
 
 
 def test_cli_data_error_exit_3(tmp_path):

@@ -8,24 +8,28 @@ prejudging a whole frame before building any per-block cost oracle, the
 package's `__all__` to names that exist: exactly the README's library and the
 names the acceptance gate imports from mebench, the swarm's random stream
 to pso.py, which alone builds one, and every cost oracle of a frame pair to
-one anchor window view."""
+one anchor window view. The dump and CSV writers the tracer wraps run on the
+main thread, whose span stack is the tracer's only one, and a run that dumps
+nothing starts no thread."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import re
+import threading
 import types
 
 import numpy as np
 import pytest
 
 import mebench
-from mebench import EstimatorConfig, Frame, block_origin, estimate, metrics, pso
+from mebench import EstimatorConfig, Frame, bench, block_origin, estimate, metrics, pso
+from mebench.cli import main
 from mebench.estimators import ALGORITHMS
 from mebench.metrics import BlockCost
 
-from conftest import REPO, load_script, shifted_pair, smooth_texture
+from conftest import REPO, load_script, shifted_pair, smooth_texture, write_y4m
 
 
 def test_every_wrapped_name_exists(monkeypatch):
@@ -235,3 +239,47 @@ def test_each_engine_owns_its_state():
             if name == "PCG64" and path.name != "pso.py":
                 strays.append(f"{path.name}:{node.lineno} {name}")
     assert strays == []
+
+
+def run_argv(tmp_path, *flags: str) -> list[str]:
+    """`mebench run` of ds and arps over a 3-frame clip (2 pairs), with flags."""
+    clip = tmp_path / "clip.y4m"
+    texture = smooth_texture(56, 72, seed=50)
+    write_y4m(clip, [texture[k : k + 48, 4:68].copy() for k in range(3)])
+    argv = ["run", "--input", str(clip), "--algos", "ds,arps", "--zmp-threshold", "128"]
+    return argv + ["--out", str(tmp_path / "o"), *flags]
+
+
+def test_dump_and_csv_writers_run_on_the_main_thread(tmp_path, monkeypatch):
+    # bench.write_ms_per_pair is the tracer's spans around these three names
+    calls = []
+    for name in ("dump_mv_field", "write_pgm", "write_csv"):
+
+        def recorded(*args, _name=name, _fn=getattr(bench, name), **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.append((_name, args[-1].name, on_main))  # the last argument is the path
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, recorded)
+    assert main(run_argv(tmp_path, "--dump-mv", "--dump-recon")) == 0
+    dumps = [
+        (fn, f"{algo}_frame{k:04d}.{ext}", True)
+        for k in (1, 2)
+        for algo in ("ds", "arps")
+        for fn, ext in (("dump_mv_field", "mvf"), ("write_pgm", "pgm"))
+    ]
+    assert calls == dumps + [("write_csv", "o", True)]
+
+
+@pytest.mark.parametrize("flags", [(), ("--dump-mv",), ("--dump-recon",), ("--dump-mv", "--dump-recon")])
+def test_only_a_run_that_dumps_starts_a_thread(tmp_path, monkeypatch, flags):
+    start = threading.Thread.start
+    started = []
+
+    def recorded(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    assert main(run_argv(tmp_path, *flags)) == 0
+    assert len(started) == (1 if flags else 0)

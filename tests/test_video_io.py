@@ -192,6 +192,37 @@ def test_pgm_roundtrip(tmp_path):
         assert (back.luma == frame.luma).all()
 
 
+def test_background_writer_writes_in_order_once_the_block_ends(tmp_path, monkeypatch):
+    write = video_io.write_file
+    gate, order = threading.Event(), []
+
+    def held(path, data):
+        assert gate.wait(timeout=60)
+        order.append(path.name)
+        write(path, data)
+
+    monkeypatch.setattr(video_io, "write_file", held)
+    names = [f"{i}.bin" for i in range(video_io.MAX_PENDING_WRITES + 1)]  # the thread holds the first
+    with video_io.BackgroundWriter() as writer:
+        for i, name in enumerate(names):
+            writer.put(tmp_path / name, bytes([i]))
+        gate.set()
+    assert order == names
+    assert [(tmp_path / name).read_bytes() for name in names] == [bytes([i]) for i in range(len(names))]
+
+
+def test_a_failed_background_write_is_raised_by_the_next_put(tmp_path):
+    puts = 0
+    with pytest.raises(FileNotFoundError):
+        with video_io.BackgroundWriter() as writer:
+            writer.put(tmp_path / "absent" / "first.pgm", b"P5")
+            for puts in range(1, 10_000):  # until the thread has failed
+                time.sleep(0.001)
+                writer.put(tmp_path / f"{puts}.pgm", b"P5")
+    assert puts < 9_999  # raised by a put, not on exit
+    assert list(tmp_path.iterdir()) == []  # nothing written after the failure
+
+
 def test_pgm_header_comments_are_read(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 # width\n2\n#\n255\n" + bytes([0, 255, 128, 64]))
