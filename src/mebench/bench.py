@@ -7,6 +7,10 @@ Output files (in the run's output directory):
   gains.csv      pairwise speed matrix, gain(A over B) = mean_evals(B)/mean_evals(A)
   meta.json      config echo, seed, eval-counting policy, code version
 
+With dumps on, mv/<algo>_frame<k>.mvf and recon/<algo>_frame<k>.pgm (k the
+target frame index, four digits) are rendered in the pair loop and written by
+one background thread (video_io.BackgroundWriter), all before the CSVs.
+
 Ratios (avg_evals, static_fraction, gains) are exact integer ratios rendered
 half-up to three decimals, in the files and on stdout alike; reruns are byte-identical.
 """

@@ -1,4 +1,5 @@
-"""Luma-only frame IO: YUV4MPEG2 and headerless planar YUV readers, PGM writer.
+"""Luma-only frame IO: YUV4MPEG2 and headerless planar YUV readers, PGM writer,
+and the background writer that run's dumps go through.
 
 Chroma planes are parsed and discarded; all processing downstream is on the
 luma plane only.
@@ -238,7 +239,7 @@ class BackgroundWriter:
 
     def __init__(self):
         self._pending: queue.Queue = queue.Queue(MAX_PENDING_WRITES)
-        self._error: BaseException | None = None
+        self._error: Exception | None = None
         self._thread = threading.Thread(target=self._drain, name="mebench-writer")
 
     def __enter__(self) -> BackgroundWriter:
@@ -251,11 +252,12 @@ class BackgroundWriter:
         self._pending.put((path, data))
 
     def _drain(self) -> None:
+        # after a failure the queue is still emptied, so no put or exit blocks
         while (item := self._pending.get()) is not None:
             if self._error is None:
                 try:
                     write_file(*item)
-                except BaseException as exc:
+                except Exception as exc:  # raised on the main thread
                     self._error = exc
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -460,8 +460,8 @@ def dump_paths(out: Path, n_pairs: int) -> list[Path]:
 
 
 def held_writes(monkeypatch, fail_at: int | None = None, gate: threading.Event | None = None) -> list[Path]:
-    """Route the dump writer's write_file through a recorder that waits for
-    `gate` before its first write and raises ENOSPC on write number `fail_at`."""
+    """Route the dump writer's write_file through a recorder that writes
+    nothing until `gate` is set and raises ENOSPC on write number `fail_at`."""
     write = video_io.write_file
     calls = []
 
@@ -477,7 +477,7 @@ def held_writes(monkeypatch, fail_at: int | None = None, gate: threading.Event |
     return calls
 
 
-def failing_estimate(monkeypatch, fail_at: int, gate: threading.Event | None = None) -> None:
+def failing_estimate(monkeypatch, fail_at: int, gate: threading.Event) -> None:
     """Make bench's call number `fail_at` to estimate raise, after setting `gate`."""
     estimate = bench.estimate
     calls = []
@@ -485,8 +485,7 @@ def failing_estimate(monkeypatch, fail_at: int, gate: threading.Event | None = N
     def counted(*args, **kwargs):
         calls.append(args[0])
         if len(calls) == fail_at:
-            if gate is not None:
-                gate.set()
+            gate.set()
             raise ValueError("matcher failed")
         return estimate(*args, **kwargs)
 
@@ -531,8 +530,7 @@ def test_matcher_error_leaves_every_dump_handed_off_before_it(tmp_path, monkeypa
     assert [p.exists() for p in order] == [True] * 8 + [False] * 4
     assert not any((out / name).exists() for name in CSVS)
     # the same bytes as the dump functions write when called directly
-    ref = tmp_path / "ref"
-    seq = load_input(clip)
+    ref, seq = tmp_path / "ref", load_input(clip)
     ref.mkdir()
     for path in order[:8]:
         algo, k = path.stem.split("_frame")

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -221,6 +222,24 @@ def test_a_failed_background_write_is_raised_by_the_next_put(tmp_path):
                 writer.put(tmp_path / f"{puts}.pgm", b"P5")
     assert puts < 9_999  # raised by a put, not on exit
     assert list(tmp_path.iterdir()) == []  # nothing written after the failure
+
+
+def test_background_writer_stops_at_its_first_failure_under_frequent_thread_switches(tmp_path):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fail_at in (1, 37, 200):
+            out = tmp_path / str(fail_at)
+            out.mkdir()
+            paths = [out / f"{i:03d}" for i in range(200)]
+            paths[fail_at - 1] = out / "absent" / "x"
+            with pytest.raises(FileNotFoundError, match="absent"):
+                with video_io.BackgroundWriter() as writer:
+                    for path in paths:
+                        writer.put(path, b"x")
+            assert sorted(out.iterdir()) == paths[: fail_at - 1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pgm_header_comments_are_read(tmp_path):
