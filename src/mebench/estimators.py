@@ -22,9 +22,10 @@ time, in one loop. DS, whose blocks are independent, walks every moving
 block's diamond in lockstep, each step ranking only the points the block's
 last diamond did not hold. The swarm (pso.search) draws the pair's stream
 and runs one grid column at a time, each column's vectors written to the
-field before the next reads them. Both score through one PairCost per frame
-pair. Every oracle of a pair reads one anchor_windows view, built once a
-block moves. Every memo counts a revisited displacement once and keeps its
+field before the next reads them. ES, DS and the swarm read each block's
+origin, tile and box and the pair's candidate keys from one PairCost per
+frame pair. Every oracle of a pair reads one anchor_windows view, built once
+a block moves. Every memo counts a revisited displacement once and keeps its
 first-query order, and ties are broken uniformly by candidate_key
 (center-biased, then raster order). Compensation reads the anchor's blocks
 through the same anchor_windows helper.
@@ -214,12 +215,10 @@ def quadrant_sums(plane: np.ndarray, bs: int) -> np.ndarray:
     return sums.reshape(4, ny, nx)
 
 
-def es_blocks(anchor: np.ndarray, windows: np.ndarray, tiles: np.ndarray, x, y, bounds) -> np.ndarray:
-    """Exhaustive search of k blocks at once by exact successive elimination.
-    `anchor` is the plane under the window view `windows`; tiles holds the
-    target blocks (k, side, side), x and y their top-left corners and bounds
-    their boxes (dx_min, dx_max, dy_min, dy_max), each (k,). Returns each
-    box's candidate_key minimum, (k, 2) as (dx, dy).
+def es_blocks(pair: PairCost, blocks: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exhaustive search of k blocks of the pair at once by exact successive
+    elimination, each block over its box of (dx, dy) from lo to hi, (k, 2).
+    Returns each box's candidate_key minimum, (k, 2).
 
     Over the 2x2 quadrants of a block B and a window W, sum_q |sum(B_q) -
     sum(W_q)| never exceeds SAD(B, W) (Li & Salari 1995; Gao, Duanmu & Zou
@@ -229,20 +228,19 @@ def es_blocks(anchor: np.ndarray, windows: np.ndarray, tiles: np.ndarray, x, y, 
     can hold the minimum, and only they are scored, by sad_sums on the
     window view, in gathers of at most one box and ES_GATHER_PIXELS pixels.
     """
-    k, bs = len(tiles), tiles.shape[-1]
-    height, width = anchor.shape
-    keys = CandidateKeys(width, height, bs)
-    dx_min, dx_max, dy_min, dy_max = bounds
+    k, bs, keys = len(blocks), pair.grid.block_size, pair.keys
+    height, width, windows = pair.height, pair.width, pair.windows
+    x, y, tiles = pair.x[blocks], pair.y[blocks], pair.tiles[np.divmod(blocks, pair.grid.cols)]
     # A block's candidates are the h x w window origins from (top, left)
     # that hold its box, within the frame: [block, row, column].
-    h, w = int((dy_max - dy_min).max()) + 1, int((dx_max - dx_min).max()) + 1
-    top, left = np.minimum(y + dy_min, height - bs + 1 - h), np.minimum(x + dx_min, width - bs + 1 - w)
+    w, h = ((hi - lo).max(0) + 1).tolist()
+    top, left = np.minimum(y + lo[:, 1], height - bs + 1 - h), np.minimum(x + lo[:, 0], width - bs + 1 - w)
     rows, cols = top[:, None] + np.arange(h), left[:, None] + np.arange(w)
     dy, dx = rows - y[:, None], cols - x[:, None]
     box = h * w
     # every candidate's bound, from the quadrant sums of the anchor rectangle the blocks reach
     r0, c0 = top.min(), left.min()
-    sums = quadrant_sums(anchor[r0 : rows.max() + bs, c0 : cols.max() + bs], bs)
+    sums = quadrant_sums(pair.anchor[r0 : rows.max() + bs, c0 : cols.max() + bs], bs)
     flat = ((rows - r0) * sums.shape[2])[:, :, None] + (cols - c0)[:, None]
     gap = np.take(sums.reshape(4, -1), flat, axis=1)
     del sums, flat
@@ -256,8 +254,8 @@ def es_blocks(anchor: np.ndarray, windows: np.ndarray, tiles: np.ndarray, x, y, 
     # the sum of its row's and its column's share (CandidateKeys.ties is linear)
     ties = keys.ties(np.abs(dy), rows * width)[:, :, None] + keys.ties(np.abs(dx), cols)[:, None]
     bound += ties
-    bound[(dy < dy_min[:, None]) | (dy > dy_max[:, None])] = INT64_MAX  # the rows and columns outside the box
-    bound.swapaxes(1, 2)[(dx < dx_min[:, None]) | (dx > dx_max[:, None])] = INT64_MAX
+    bound[(dy < lo[:, 1:]) | (dy > hi[:, 1:])] = INT64_MAX  # the rows and columns outside the box
+    bound.swapaxes(1, 2)[(dx < lo[:, :1]) | (dx > hi[:, :1])] = INT64_MAX
     # each block's upper key, and the candidates whose bound key does not rank after it
     lowest = ties.reshape(k, box)[np.arange(k), bound.reshape(k, box).argmin(1)]
     row, col = np.divmod(lowest % keys.area, width)
@@ -266,10 +264,10 @@ def es_blocks(anchor: np.ndarray, windows: np.ndarray, tiles: np.ndarray, x, y, 
     ranked = ties.ravel()[survivors]
     del bound, ties
     step = max(1, min(box, ES_GATHER_PIXELS // (bs * bs)))
-    for lo in range(0, len(ranked), step):
-        tie = ranked[lo : lo + step]
+    for first in range(0, len(ranked), step):
+        tie = ranked[first : first + step]
         row, col = np.divmod(tie % keys.area, width)
-        tie += sad_sums(windows[row, col], tiles[survivors[lo : lo + step] // box]) * keys.unit
+        tie += sad_sums(windows[row, col], tiles[survivors[first : first + step] // box]) * keys.unit
     # every block keeps its lowest-bound candidate, so each has a first survivor
     best = np.minimum.reduceat(ranked, np.searchsorted(survivors, np.arange(k) * box))
     row, col = np.divmod(best % keys.area, width)
@@ -313,8 +311,7 @@ def ds_lockstep(pair: PairCost, blocks: np.ndarray, p: int) -> np.ndarray:
     frame. Each step ranks only the points its block has not ranked in its
     last diamond (_LDSP_SHARED), and the small diamond takes its center's
     key from the last large one. Returns the vectors, (k, 2)."""
-    lo, hi = pair.bounds(blocks)
-    lo, hi = np.maximum(lo, -p), np.minimum(hi, p)
+    lo, hi = pair.bounds(blocks, p)
     k = len(blocks)
     center = np.zeros((k, 2), dtype=np.int64)
     # each block's keys of its last large diamond, then an _UNSCORED column that new points read
@@ -410,32 +407,9 @@ def estimate(
     vectors, evals = field.vectors.reshape(-1, 2), field.evals_per_block.reshape(-1)  # by raster index
     if not moving.size:
         return field
-    windows = anchor_windows(anc, config.block_size)
-
-    if algorithm == "es":  # ES prejudges nothing, so every block moves
-        bs = config.block_size
-        ys, xs = (np.indices((grid.rows, grid.cols)) * bs).reshape(2, -1)
-        dx_min, dx_max, dy_min, dy_max = displacement_bounds(anchor.width, anchor.height, (xs, ys), bs)
-        bounds = (np.maximum(dx_min, -p), np.minimum(dx_max, p), np.maximum(dy_min, -p), np.minimum(dy_max, p))
-        widths, heights = bounds[1] - bounds[0] + 1, bounds[3] - bounds[2] + 1
-        evals[:] = widths * heights  # every displacement of the box
-        # as many whole grid rows per call as ES_GATHER_PIXELS holds four sums of each candidate of
-        step = max(1, ES_GATHER_PIXELS // (4 * int(widths.max() * heights.max()) * grid.cols))
-        tiles = grid.tiles(tgt)
-        for lo in range(0, grid.rows, step):
-            part = slice(lo * grid.cols, (lo + step) * grid.cols)
-            row_tiles = tiles[lo : lo + step].reshape(-1, bs, bs)
-            vectors[part] = es_blocks(anc, windows, row_tiles, xs[part], ys[part], [b[part] for b in bounds])
-        for index in range(grid.n_blocks):
-            # each block's one query of the cost layer, which wrappers of BlockCost.__call__ see as ES work
-            cost = BlockCost(windows, tgt, block_origin(grid, index), bs, EvalCounter(), window)
-            cost((0, 0))
-            if keep_memos:
-                cost.score_box()
-                field.memos[index] = cost.counter.memo
-        return field
 
     if algorithm == "arps":
+        windows = anchor_windows(anc, config.block_size)
         for index in moving.tolist():
             counter = EvalCounter({(0, 0): int(colocated[index])})
             cost = BlockCost(windows, tgt, block_origin(grid, index), config.block_size, counter, window)
@@ -447,7 +421,25 @@ def estimate(
                 field.memos[index] = counter.memo
         return field
 
-    pair = PairCost(windows, tgt, grid)
+    pair = PairCost(anc, tgt, grid)
+    if algorithm == "es":  # ES prejudges nothing, so every block moves
+        lo, hi = pair.bounds(moving, p)
+        sides = hi - lo + 1
+        evals[:] = sides.prod(1)  # every displacement of the box
+        # as many whole grid rows per call as ES_GATHER_PIXELS holds four sums of each candidate of
+        step = max(1, ES_GATHER_PIXELS // (4 * int(sides.max(0).prod()) * grid.cols)) * grid.cols
+        for first in range(0, grid.n_blocks, step):
+            part = moving[first : first + step]
+            vectors[part] = es_blocks(pair, part, lo[part], hi[part])
+        for index, origin in enumerate(zip(pair.x.tolist(), pair.y.tolist())):
+            # each block's one query of the cost layer, which wrappers of BlockCost.__call__ see as ES work
+            cost = BlockCost(pair.windows, tgt, origin, config.block_size, EvalCounter(), window)
+            cost((0, 0))
+            if keep_memos:
+                cost.score_box()
+                field.memos[index] = cost.counter.memo
+        return field
+
     if algorithm == "ds":
         vectors[moving] = ds_lockstep(pair, moving, p)
     else:

@@ -5,10 +5,10 @@ displacement at a time, and ES queries its co-located point and scores its
 whole window into the memo (BlockCost.score_box) only when the memos are
 kept (keep_memos), every oracle reading one anchor_windows view per frame
 pair, as PairCost does. EvalCounter is the block's ledger: a memo dict and
-its count of distinct displacements. PairCost scores many (block,
-displacement) pairs of one frame pair in one gather, for the lockstep
-diamond search and the column-wavefront swarm; its memo records the distinct
-ones. candidate_key is the one order on candidates: ARPS compares its
+its count of distinct displacements. PairCost, built from a frame pair's
+planes, is its one state for ES, the lockstep diamond search and the
+column-wavefront swarm, and scores many (block, displacement) pairs in one
+gather. candidate_key is the one order on candidates: ARPS compares its
 tuples, and CandidateKeys ranks the array paths' candidates, ES's included,
 as int64 keys that order exactly as it does. sad_sums is the one place where
 a strided window difference is reduced: ES's survivors and scored windows,
@@ -221,11 +221,12 @@ class CandidateKeys:
 
 
 class PairCost:
-    """Costs of many (block, displacement) pairs of one frame pair.
+    """Costs of many (block, displacement) pairs of one frame pair, and its
+    one statement of each block's origin (x, y), tile, box (bounds) and keys.
 
-    anchor/target are the pair's int16 frames, the anchor maybe as its
-    anchor_windows view, and grid their block tiling. `rank` takes block indices
-    (raster order) and frame-legal displacements, arrays that broadcast
+    anchor/target are the pair's int16 planes and grid their block tiling;
+    windows and tiles are views of them (anchor_windows, grid.tiles). `rank`
+    takes block indices and frame-legal displacements, arrays that broadcast
     together, scores every pair, repeats included, in one gather (sad_sums) from
     the anchor windows, and returns their candidate keys. The memo is a record
     that rank never reads: one dict of every distinct cost under block * area +
@@ -234,30 +235,34 @@ class PairCost:
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
-        bs, rows, cols = grid.block_size, grid.rows, grid.cols
+        bs, cols = grid.block_size, grid.cols
         self.height, self.width = target.shape
         self.grid = grid
         self.keys = CandidateKeys(self.width, self.height, bs)
-        self._windows = anchor_windows(anchor, bs)
-        self._tiles = grid.tiles(target).reshape(rows * cols, bs, bs)
-        index = np.arange(rows * cols)
+        self.anchor, self.windows = anchor, anchor_windows(anchor, bs)
+        self.tiles = grid.tiles(target)
+        index = np.arange(grid.n_blocks)
         self.x, self.y = index % cols * bs, index // cols * bs
         self._corner = self.y * self.width + self.x
         self.memo: dict[int, int] = {}
+        self._block_tiles = None  # the tiles as one (blocks, side, side) copy, built by rank, so ES never holds it
 
-    def bounds(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Frame-legal (dx, dy) minima and maxima of the blocks, each (k, 2)."""
+    def bounds(self, blocks: np.ndarray, reach: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Frame-legal (dx, dy) minima and maxima of the blocks, each (k, 2), cut to |dx|, |dy| <= reach if given."""
         origin = (self.x[blocks], self.y[blocks])
         dx_min, dx_max, dy_min, dy_max = displacement_bounds(self.width, self.height, origin, self.grid.block_size)
-        return np.stack((dx_min, dy_min), 1), np.stack((dx_max, dy_max), 1)
+        lo, hi = np.stack((dx_min, dy_min), 1), np.stack((dx_max, dy_max), 1)
+        return (lo, hi) if reach is None else (np.maximum(lo, -reach), np.minimum(hi, reach))
 
     def rank(self, blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The candidate keys (CandidateKeys.encode) of displacements d
         (..., 2) of the blocks, every one scored in one gather, repeats
         included, and recorded in the memo."""
+        if self._block_tiles is None:
+            self._block_tiles = self.tiles.reshape(self.grid.n_blocks, *self.tiles.shape[2:])
         at = self.keys.at(self._corner[blocks], d)
         row, col = np.divmod(at, self.width)
-        costs = sad_sums(self._windows[row, col], self._tiles[blocks])
+        costs = sad_sums(self.windows[row, col], self._block_tiles[blocks])
         keys = blocks * self.keys.area + at
         self.memo.update(zip(keys.ravel().tolist(), costs.ravel().tolist()))
         return self.keys.encode(costs, d, at)

@@ -142,7 +142,7 @@ def test_es_chunking_never_changes_a_result(monkeypatch, content):
     es_blocks, calls = estimators.es_blocks, []
 
     def counted(*args):
-        calls.append(len(args[2]))  # the blocks of the call
+        calls.append(len(args[1]))  # the blocks of the call
         return es_blocks(*args)
 
     monkeypatch.setattr(estimators, "es_blocks", counted)

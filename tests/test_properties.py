@@ -18,7 +18,8 @@ memos, and that `estimate` gives the same field whatever the memory layout
 of its frames (ES's window is drawn in three layouts too). The int64
 candidate keys of the array paths are held to candidate_key's order, in
 PairCost's ranking too where a cost times the displacement ranks passes
-int32, and PairCost's memo to BlockCost's."""
+int32, PairCost's memo to BlockCost's, and PairCost's boxes, cut to the
+search window or not, to BlockCost's and the frame's."""
 
 from __future__ import annotations
 
@@ -542,6 +543,29 @@ def test_pair_cost_memo_equals_block_costs(pair, data):
     costs.fill(memos)
     assert [list(m.items()) for m in memos] == [list(c.counter.memo.items()) for c in singles]
     assert costs.evals().tolist() == [c.counter.evals for c in singles]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bs=st.integers(2, 16), data=st.data())
+def test_pair_cost_bounds_equal_the_per_block_boxes(bs, data):
+    # frames with right and bottom remainders, and p from 1 to past the
+    # frame's larger side: every block's box in the pair is its BlockCost's
+    # box cut to the window, and without p the frame's
+    h, w = (data.draw(st.integers(bs, 6 * bs - 1)) for _ in range(2))
+    p = data.draw(st.integers(1, max(h, w) + bs))
+    plane = np.zeros((h, w), np.int16)
+    grid = BlockGrid(bs, w // bs, h // bs)
+    pair = PairCost(plane, plane, grid)
+    blocks = np.arange(grid.n_blocks)
+    origins = [block_origin(grid, i) for i in blocks.tolist()]
+
+    def boxes(lo, hi):  # as (dx_min, dx_max, dy_min, dy_max), one per block
+        return [(a, c, b, d) for (a, b), (c, d) in zip(lo.tolist(), hi.tolist())]
+
+    window = (-p, p, -p, p)
+    costs = [BlockCost(plane, plane, origin, bs, EvalCounter(), window) for origin in origins]
+    assert boxes(*pair.bounds(blocks, p)) == [cost.bounds for cost in costs]
+    assert boxes(*pair.bounds(blocks)) == [displacement_bounds(w, h, origin, bs) for origin in origins]
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,8 +7,9 @@ co-located call per block, the count CI pins. They also hold `estimate` to
 prejudging a whole frame before building any per-block cost oracle, the
 package's `__all__` to names that exist: exactly the README's library and the
 names the acceptance gate imports from mebench, the swarm's random stream
-to pso.py, which alone builds one, and every cost oracle of a frame pair to
-one anchor window view. The dump and CSV writers the tracer wraps run on the
+to pso.py, which alone builds one, every cost oracle of a frame pair to
+one anchor window view, and the array matchers' boxes and candidate keys
+to PairCost. The dump and CSV writers the tracer wraps run on the
 main thread, whose span stack is the tracer's only one, and a run that dumps
 nothing starts no thread."""
 
@@ -181,6 +182,35 @@ def test_one_helper_builds_the_anchor_window_views():
             elif callee == "sliding_window_view" and id(node) not in helper:
                 strays.append(f"{path.name}:{node.lineno} sliding_window_view")
     assert strays == []
+
+
+def calls_by_function(path) -> list[tuple[str, str | None]]:
+    """(enclosing function, callee name) of every call in a module, the
+    function named with its class (PairCost.__init__), '' at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                found.append((scope, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_the_pair_alone_states_the_array_matchers_boxes_and_keys():
+    # PairCost states each block's box and the pair's candidate keys for ES,
+    # DS and the swarm: in estimators.py only compensate computes a frame
+    # box, and besides the pair only the one-block oracles es_search and
+    # pso_match build CandidateKeys
+    calls = {path.name: calls_by_function(path) for path in (REPO / "src" / "mebench").glob("*.py")}
+    boxes = {scope for scope, callee in calls["estimators.py"] if callee == "displacement_bounds"}
+    keys = {f"{name}:{scope}" for name, found in calls.items() for scope, callee in found if callee == "CandidateKeys"}
+    assert boxes == {"compensate"}
+    assert keys == {"metrics.py:PairCost.__init__", "estimators.py:es_search", "pso.py:pso_match"}
 
 
 def test_arps_makes_memo_miss_calls_on_every_moving_block(monkeypatch):

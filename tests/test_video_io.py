@@ -242,6 +242,58 @@ def test_background_writer_stops_at_its_first_failure_under_frequent_thread_swit
         sys.setswitchinterval(interval)
 
 
+class ShortFile:
+    """A file whose every write leaves out the last byte of its data."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        return self.file.write(data[:-1])
+
+
+def short_writes(monkeypatch) -> list[threading.Thread]:
+    """Make every file video_io opens for writing write one byte short; the
+    list gets the thread of each such open."""
+    threads = []
+
+    def opened(path, mode="r", *args, **kwargs):
+        file = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return file
+        threads.append(threading.current_thread())
+        return ShortFile(file)
+
+    monkeypatch.setattr(video_io, "open", opened, raising=False)
+    return threads
+
+
+def test_a_short_write_raises(tmp_path, monkeypatch):
+    short_writes(monkeypatch)
+    path = tmp_path / "x.bin"
+    with pytest.raises(OSError) as exc:
+        video_io.write_file(path, b"abcd")
+    assert str(exc.value) == f"wrote 3 of 4 bytes to {str(path)!r}"
+
+
+def test_a_short_dump_write_exits_2_and_writes_no_csv(tmp_path, monkeypatch, capsys):
+    clip, out = tmp_path / "clip.y4m", tmp_path / "o"
+    write_y4m(clip, [noise_frame(32, 48, seed).luma for seed in range(3)])
+    threads = short_writes(monkeypatch)
+    assert main(["run", "--input", str(clip), "--algos", "ds", "--out", str(out), "--dump-recon"]) == 2
+    size = len(b"P5\n48 32\n255\n") + 32 * 48
+    first = str(out / "recon" / "ds_frame0001.pgm")
+    assert capsys.readouterr().err == f"mebench: i/o error: wrote {size - 1} of {size} bytes to {first!r}\n"
+    assert threads and threading.main_thread() not in threads  # written by the background writer
+    assert not list(out.glob("*.csv"))
+
+
 def test_pgm_header_comments_are_read(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 # width\n2\n#\n255\n" + bytes([0, 255, 128, 64]))
