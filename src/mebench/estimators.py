@@ -14,21 +14,23 @@ one link between blocks. ES searches whole grid rows of a frame per call
 a lower bound from the 2x2 quadrant sums of one int32 integral image rules
 out most of each window, and only the rest is scored. Each ES block counts
 every displacement of its window and keeps a BlockCost only for its one
-co-located query; under keep_memos it scores the whole window into its memo
-(BlockCost.score_box). es_search, the acceptance gate's ES, is that plain
-scan of one block's window. ARPS searches one block at a time through its
-BlockCost, scoring its start set and then each unit rood one point at a
-time, in one loop. DS, whose blocks are independent, walks every moving
-block's diamond in lockstep, each step ranking only the points the block's
-last diamond did not hold. The swarm (pso.search) draws the pair's stream
-and runs one grid column at a time, each column's vectors written to the
-field before the next reads them. ES, DS and the swarm read each block's
-origin, tile and box and the pair's candidate keys from one PairCost per
-frame pair. Every oracle of a pair reads one anchor_windows view, built once
-a block moves. Every memo counts a revisited displacement once and keeps its
+co-located query. es_search, the acceptance gate's ES, is the plain scalar
+scan of one block's window through its BlockCost. ARPS searches one block
+at a time through its BlockCost, scoring its start set and then each unit
+rood one point at a time, in one loop. DS, whose blocks are independent,
+walks every moving block's diamond in lockstep, each step ranking only the
+points the block's last diamond did not hold. The swarm (pso.search) draws
+the pair's stream and runs one grid column at a time, each column's vectors
+written to the field before the next reads them. ES, DS and the swarm read
+each block's origin, tile and box and the pair's candidate keys from one
+PairCost per frame pair, which scores all their candidates and records
+their costs; under keep_memos the pair also scores each ES block's whole
+window, and its record fills the three matchers' memos (PairCost.fill).
+Every oracle of a pair reads one anchor_windows view, built once a block
+moves. Every memo counts a revisited displacement once and keeps its
 first-query order, and ties are broken uniformly by candidate_key
 (center-biased, then raster order). Compensation reads the anchor's blocks
-through the same anchor_windows helper.
+through the same anchor_windows helper, and only when a block moved.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, che
 from .metrics import (
     INT64_MAX,
     BlockCost,
-    CandidateKeys,
     EvalCounter,
     PairCost,
     anchor_windows,
@@ -180,7 +181,8 @@ def compensate(anchor: Frame, field: MotionField) -> CompensatedFrame:
             f"block ({cols[first]},{rows[first]}) carries illegal vector ({dx[first]},{dy[first]})"
         )
     out = anchor.luma.copy()  # margins and blocks at (0, 0) keep the co-located anchor pixels
-    grid.tiles(out)[rows, cols] = anchor_windows(anchor.luma, bs)[sy, sx]
+    if rows.size:  # a field with no moved block builds no window view
+        grid.tiles(out)[rows, cols] = anchor_windows(anchor.luma, bs)[sy, sx]
     return CompensatedFrame(Frame(out))
 
 
@@ -275,17 +277,13 @@ def es_blocks(pair: PairCost, blocks: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 
 def es_search(cost: BlockCost) -> MotionVector:
-    """Exhaustive scan of every legal displacement in the cost's window: the
-    block queries (0, 0) through `cost`, scores the whole box into its
-    counter's memo (BlockCost.score_box) and returns the box's candidate_key
-    minimum."""
-    cost((0, 0))
-    sums = cost.score_box()
+    """Exhaustive scan of every legal displacement in the cost's window, one
+    query at a time through `cost`: (0, 0) first, then the box in (dy, dx)
+    raster order, the order its counter's memo keeps. Returns the box's
+    candidate_key minimum."""
     dx_min, dx_max, dy_min, dy_max = cost.bounds
-    d = np.stack(np.meshgrid(np.arange(dx_min, dx_max + 1), np.arange(dy_min, dy_max + 1)), axis=-1)
-    keys = CandidateKeys(cost.width, cost.height, cost.block_size)
-    best = keys.encode(sums, d, keys.at(cost.y * cost.width + cost.x, d)).argmin()
-    return tuple(d.reshape(-1, 2)[best].tolist())
+    box = [(dx, dy) for dy in range(dy_min, dy_max + 1) for dx in range(dx_min, dx_max + 1)]
+    return min([(0, 0), *box], key=lambda d: candidate_key(cost(d), d))
 
 
 def _pattern_min(pair: PairCost, blocks, center, lo, hi, pattern, known):
@@ -431,20 +429,19 @@ def estimate(
         for first in range(0, grid.n_blocks, step):
             part = moving[first : first + step]
             vectors[part] = es_blocks(pair, part, lo[part], hi[part])
-        for index, origin in enumerate(zip(pair.x.tolist(), pair.y.tolist())):
+        for origin in zip(pair.x.tolist(), pair.y.tolist()):
             # each block's one query of the cost layer, which wrappers of BlockCost.__call__ see as ES work
-            cost = BlockCost(pair.windows, tgt, origin, config.block_size, EvalCounter(), window)
-            cost((0, 0))
-            if keep_memos:
-                cost.score_box()
-                field.memos[index] = cost.counter.memo
-        return field
-
-    if algorithm == "ds":
-        vectors[moving] = ds_lockstep(pair, moving, p)
+            BlockCost(pair.windows, tgt, origin, config.block_size, EvalCounter(), window)((0, 0))
+        if keep_memos:  # each block's memo: (0, 0), then its whole box in (dy, dx) raster order
+            pair.rank(moving, np.zeros_like(lo))
+            for block, (dx_min, dy_min), (dx_max, dy_max) in zip(moving.tolist(), lo.tolist(), hi.tolist()):
+                pair.rank(block, np.mgrid[dx_min : dx_max + 1, dy_min : dy_max + 1].T.reshape(-1, 2))
     else:
-        swarm.search(pair, moving, vectors, pso or swarm.PsoConfig(), seed)
-    evals[moving] = pair.evals()[moving]
+        if algorithm == "ds":
+            vectors[moving] = ds_lockstep(pair, moving, p)
+        else:
+            swarm.search(pair, moving, vectors, pso or swarm.PsoConfig(), seed)
+        evals[moving] = pair.evals()[moving]
     if keep_memos:
         pair.fill(field.memos)
     return field

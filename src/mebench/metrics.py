@@ -1,20 +1,21 @@
 """Matching cost and reconstruction quality metrics.
 
-BlockCost is the memoized per-block cost oracle: ARPS queries it one
-displacement at a time, and ES queries its co-located point and scores its
-whole window into the memo (BlockCost.score_box) only when the memos are
-kept (keep_memos), every oracle reading one anchor_windows view per frame
-pair, as PairCost does. EvalCounter is the block's ledger: a memo dict and
-its count of distinct displacements. PairCost, built from a frame pair's
-planes, is its one state for ES, the lockstep diamond search and the
-column-wavefront swarm, and scores many (block, displacement) pairs in one
-gather. candidate_key is the one order on candidates: ARPS compares its
-tuples, and CandidateKeys ranks the array paths' candidates, ES's included,
-as int64 keys that order exactly as it does. sad_sums is the one place where
-a strided window difference is reduced: ES's survivors and scored windows,
-the pair gather (PairCost.rank) and `estimate`'s prejudgment all sum through
-it, in int32, and get int64 sums back; a block side whose raw sum could pass
-int32 is refused (blocks.MAX_BLOCK_SIZE).
+BlockCost is the memoized per-block cost oracle, one displacement per call:
+ARPS queries it one displacement at a time, ES only at its co-located point,
+and es_search, the acceptance gate's ES, scans a block's window through it,
+every oracle reading one anchor_windows view per frame pair, as PairCost
+does. EvalCounter is the block's ledger: a memo dict and its count of
+distinct displacements. PairCost, built from a frame pair's planes, is its
+one state for ES, the lockstep diamond search and the column-wavefront
+swarm, the one batch scorer, which scores many (block, displacement) pairs
+in one gather, and the one record that fills those matchers' kept memos
+(keep_memos). candidate_key is the one order on candidates: ARPS and
+es_search compare its tuples, and CandidateKeys ranks the array paths'
+candidates as int64 keys that order exactly as it does. sad_sums is the one
+place where a strided window difference is reduced: ES's upper keys and
+survivors, the pair gather (PairCost.rank) and `estimate`'s prejudgment all
+sum through it, in int32, and get int64 sums back; a block side whose raw
+sum could pass int32 is refused (blocks.MAX_BLOCK_SIZE).
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -87,7 +88,8 @@ class EvalCounter:
 
 
 class BlockCost:
-    """Memoized cost oracle d -> raw SAD sum for one target block.
+    """Memoized cost oracle d -> raw SAD sum for one target block, one
+    displacement per call (PairCost scores many at once).
 
     anchor/target are full-frame signed integer arrays (int16 holds every
     difference of two 8-bit pixels), the anchor maybe as its anchor_windows
@@ -134,19 +136,6 @@ class BlockCost:
             c = int(np.abs(self.tgt - self.windows[self.y + d[1], self.x + d[0]]).sum())
             memo[d] = c
         return c
-
-    def score_box(self) -> np.ndarray:
-        """Score every displacement in `bounds` in one gather (sad_sums) into
-        counter.memo, in (dy, dx) raster order after the entries already
-        there (a key already present keeps its place), and return the raw
-        sums as a (dy, dx) array whose [0, 0] is (dx_min, dy_min)."""
-        dx_min, dx_max, dy_min, dy_max = self.bounds
-        x, y = self.x, self.y
-        sums = sad_sums(self.windows[y + dy_min : y + dy_max + 1, x + dx_min : x + dx_max + 1], self.tgt)
-        dxs = range(dx_min, dx_max + 1)
-        keys = ((dx, dy) for dy in range(dy_min, dy_max + 1) for dx in dxs)
-        self.counter.memo.update(zip(keys, sums.ravel().tolist()))
-        return sums
 
 
 def sad_at(
@@ -225,13 +214,14 @@ class PairCost:
     one statement of each block's origin (x, y), tile, box (bounds) and keys.
 
     anchor/target are the pair's int16 planes and grid their block tiling;
-    windows and tiles are views of them (anchor_windows, grid.tiles). `rank`
-    takes block indices and frame-legal displacements, arrays that broadcast
-    together, scores every pair, repeats included, in one gather (sad_sums) from
-    the anchor windows, and returns their candidate keys. The memo is a record
-    that rank never reads: one dict of every distinct cost under block * area +
-    at (see CandidateKeys) in first-query order, within a call in array order,
-    so each block's entries keep the order a BlockCost memo would give them.
+    windows and tiles are views of them (anchor_windows, grid.tiles). `rank`,
+    the one batch scorer, takes block indices and frame-legal displacements,
+    arrays that broadcast together, scores every pair, repeats included, in
+    one gather (sad_sums) from the anchor windows, and returns their candidate
+    keys. The memo is a record that rank never reads: one dict of every
+    distinct cost under block * area + at (see CandidateKeys) in first-query
+    order, within a call in array order, so each block's entries keep the
+    order a BlockCost memo would give them; `fill` makes the kept memos.
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):

@@ -3,14 +3,15 @@ references: ES against a raster scan of single BlockCost queries, as the
 plain scan alone (es_search) and as the elimination engine inside
 `estimate`, on short and tall frames, at windows up to past the frame's
 larger side and on tie-heavy frames where the tie-break decides, es_search
-scoring the window into the caller's memo dict before the memo is read;
-BlockCost.score_box against a memo filled one query at a time, in query
-order; DS and ARPS inside `estimate` against plain pattern walks (same
-vectors, same memo order); the whole-swarm array update of pso_match against
-the per-particle, per-dimension loop it replaced (alone, and inside
-`estimate` with the start rule and one stream per pair); and compensate's
-gather of the moved blocks against a per-block copy loop, with any share of
-the blocks at (0, 0) and on frames with margins. Frames are random, flat or
+filling the caller's memo dict before the memo is read; one ledger shared by
+a whole-frame BlockCost and es_search's windowed one against a memo filled
+one query at a time, in query order; DS and ARPS inside `estimate` against
+plain pattern walks (same vectors, same memo order); the whole-swarm array
+update of pso_match against the per-particle, per-dimension loop it
+replaced (alone, and inside `estimate` with the start rule and one stream
+per pair); and compensate's gather of the moved blocks against a per-block
+copy loop, with any share of the blocks at (0, 0) and on frames with
+margins. Frames are random, flat or
 tie-heavy; windows are interior, edge-clipped and corner-clipped. Last,
 invariants of `estimate` for every algorithm: legal vectors and memo keys,
 evals == len(memo), the static-block prejudgment and the same field without
@@ -311,7 +312,7 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
     memo = dict(expected)
     counter = EvalCounter(memo)
     # one ledger, two oracles: queries through the whole frame box also land
-    # outside the +-p box whose every displacement ES scores at once
+    # outside the +-p box whose every displacement es_search scans
     whole = BlockCost(anc, tgt, origin, bs, counter)
     boxed = BlockCost(anc, tgt, origin, bs, counter, (-p, p, -p, p))
     dx_min, dx_max, dy_min, dy_max = whole.bounds
@@ -321,11 +322,11 @@ def test_eval_counter_box_ledger_equals_eager_memo(pair, p, seeded, data):
             assert counter.evals == len(expected)
             assert list(memo.items()) == list(expected.items())  # no entry waits to be scored
         elif op == "box":
-            sums = boxed.score_box()
+            es_search(boxed)
             bx_min, bx_max, by_min, by_max = boxed.bounds
+            expected.setdefault((0, 0), sad((0, 0)))
             for dy in range(by_min, by_max + 1):
                 for dx in range(bx_min, bx_max + 1):
-                    assert sums[dy - by_min, dx - bx_min] == sad((dx, dy))
                     expected.setdefault((dx, dy), sad((dx, dy)))
         else:
             assert whole(op) == sad(op)

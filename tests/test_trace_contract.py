@@ -8,8 +8,10 @@ prejudging a whole frame before building any per-block cost oracle, the
 package's `__all__` to names that exist: exactly the README's library and the
 names the acceptance gate imports from mebench, the swarm's random stream
 to pso.py, which alone builds one, every cost oracle of a frame pair to
-one anchor window view, and the array matchers' boxes and candidate keys
-to PairCost. The dump and CSV writers the tracer wraps run on the
+one anchor window view (and compensate to none when no block moved), the
+array matchers' boxes and candidate keys to PairCost, and batch scoring
+to PairCost, whose record fills ES's, DS's and the swarm's kept memos in
+one PairCost.fill. The dump and CSV writers the tracer wraps run on the
 main thread, whose span stack is the tracer's only one, and a run that dumps
 nothing starts no thread."""
 
@@ -25,7 +27,18 @@ import numpy as np
 import pytest
 
 import mebench
-from mebench import EstimatorConfig, Frame, bench, block_origin, estimate, metrics, pso
+from mebench import (
+    BlockGrid,
+    EstimatorConfig,
+    Frame,
+    MotionField,
+    bench,
+    block_origin,
+    compensate,
+    estimate,
+    metrics,
+    pso,
+)
 from mebench.cli import main
 from mebench.estimators import ALGORITHMS
 from mebench.metrics import BlockCost
@@ -165,6 +178,17 @@ def test_an_all_static_pair_builds_no_window_view(monkeypatch, algorithm):
     assert anchors == views == []
 
 
+def test_compensate_builds_a_window_view_only_when_a_block_moved(monkeypatch):
+    anchors, views = record_window_views(monkeypatch)
+    anchor, _ = static_and_patch_clip()
+    field = MotionField.empty(BlockGrid.for_frame(anchor, 16))
+    assert compensate(anchor, field).frame.luma.tobytes() == anchor.luma.tobytes()
+    assert views == []
+    field.vectors[1, 2] = (1, -1)
+    compensate(anchor, field)
+    assert len(views) == 1
+
+
 def test_one_helper_builds_the_anchor_window_views():
     # metrics.anchor_windows builds every anchor window view in the package,
     # for the cost oracles and compensate alike; no module builds one by hand
@@ -204,13 +228,45 @@ def calls_by_function(path) -> list[tuple[str, str | None]]:
 def test_the_pair_alone_states_the_array_matchers_boxes_and_keys():
     # PairCost states each block's box and the pair's candidate keys for ES,
     # DS and the swarm: in estimators.py only compensate computes a frame
-    # box, and besides the pair only the one-block oracles es_search and
-    # pso_match build CandidateKeys
+    # box, and besides the pair only the swarm's one-block oracle pso_match
+    # builds CandidateKeys
     calls = {path.name: calls_by_function(path) for path in (REPO / "src" / "mebench").glob("*.py")}
     boxes = {scope for scope, callee in calls["estimators.py"] if callee == "displacement_bounds"}
     keys = {f"{name}:{scope}" for name, found in calls.items() for scope, callee in found if callee == "CandidateKeys"}
     assert boxes == {"compensate"}
-    assert keys == {"metrics.py:PairCost.__init__", "estimators.py:es_search", "pso.py:pso_match"}
+    assert keys == {"metrics.py:PairCost.__init__", "pso.py:pso_match"}
+
+
+def test_the_pair_is_the_one_batch_scorer():
+    # BlockCost answers one displacement per call; in metrics.py only
+    # PairCost.rank reduces a batch of windows through sad_sums
+    path = REPO / "src" / "mebench" / "metrics.py"
+    block_cost = next(n for n in ast.parse(path.read_text()).body if getattr(n, "name", None) == "BlockCost")
+    methods = [n.name for n in block_cost.body if isinstance(n, ast.FunctionDef)]
+    assert methods == ["__init__", "legal", "__call__"]
+    assert {scope for scope, callee in calls_by_function(path) if callee == "sad_sums"} == {"PairCost.rank"}
+
+
+@pytest.mark.parametrize("algorithm", ["es", "ds", "pso-zmp"])
+def test_the_pair_record_fills_the_kept_memos(monkeypatch, algorithm):
+    # ES, DS and the swarm keep their memos from the pair's record, in one
+    # fill; ES's per-block oracles keep only the co-located query CI pins
+    fill, filled = metrics.PairCost.fill, []
+    init, oracles = BlockCost.__init__, []
+
+    def counted_fill(self, memos):
+        filled.append(len(memos))
+        fill(self, memos)
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        oracles.append(self)
+
+    monkeypatch.setattr(metrics.PairCost, "fill", counted_fill)
+    monkeypatch.setattr(BlockCost, "__init__", recorded)
+    field = estimate(algorithm, *static_and_patch_clip(), EstimatorConfig(zmp_threshold=8), keep_memos=True)
+    assert filled == [field.grid.n_blocks]
+    assert [list(o.counter.memo) for o in oracles] == ([[(0, 0)]] * field.grid.n_blocks if algorithm == "es" else [])
 
 
 def test_arps_makes_memo_miss_calls_on_every_moving_block(monkeypatch):
