@@ -21,16 +21,15 @@ rood one point at a time, in one loop. DS, whose blocks are independent,
 walks every moving block's diamond in lockstep, each step ranking only the
 points the block's last diamond did not hold. The swarm (pso.search) draws
 the pair's stream and runs one grid column at a time, each column's vectors
-written to the field before the next reads them. ES, DS and the swarm read
-each block's origin, tile and box and the pair's candidate keys from one
-PairCost per frame pair, which scores all their candidates and records
-their costs; under keep_memos the pair also scores each ES block's whole
-window, and its record fills the three matchers' memos (PairCost.fill).
-Every oracle of a pair reads one anchor_windows view, built once a block
-moves. Every memo counts a revisited displacement once and keeps its
-first-query order, and ties are broken uniformly by candidate_key
-(center-biased, then raster order). Compensation reads the anchor's blocks
-through the same anchor_windows helper, and only when a block moved.
+written to the field before the next reads them. The prejudgment and all four
+matchers read one PairCost per call, whose keys refuse the same frames
+whatever the matcher; every oracle reads its anchor_windows view, built once
+a block moves. The pair scores ES's, DS's and the swarm's candidates and
+records their costs, under keep_memos each ES block's whole window too, and
+its record fills those matchers' memos (PairCost.fill). Every memo counts a
+revisited displacement once and keeps its first-query order; ties are broken
+by candidate_key (center-biased, then raster order). Compensation reads the
+anchor through anchor_windows too, only when a block moved.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pso as swarm
-from .blocks import BlockGrid, MotionVector, block_origin, check_block_size, check_integer, displacement_bounds
+from .blocks import BlockGrid, MotionVector, check_block_size, check_integer, displacement_bounds
 from .metrics import (
     INT64_MAX,
     BlockCost,
@@ -386,14 +385,14 @@ def estimate(
     p = min(config.search_param, max(anchor.width, anchor.height))
     window = (-p, p, -p, p)
     grid = BlockGrid.for_frame(anchor, config.block_size)
-    field = MotionField.empty(grid)
-    anc = anchor.luma.astype(np.int16)
     tgt = target.luma.astype(np.int16)
+    pair = PairCost(anchor.luma.astype(np.int16), tgt, grid)
+    field = MotionField.empty(grid)
     colocated = None
     if cut is not None:
         # Every block's co-located raw sum in one op over the tiled region. It
         # is each memo's first entry, as it is every matcher's first query.
-        sums = sad_sums(grid.tiles(anc), grid.tiles(tgt))
+        sums = sad_sums(grid.tiles(pair.anchor), pair.tiles)
         field.static_flags[...] = sums < cut
         field.evals_per_block[...] = 1
         colocated = sums.ravel()
@@ -406,20 +405,17 @@ def estimate(
     if not moving.size:
         return field
 
+    x, y = pair.x.tolist(), pair.y.tolist()
     if algorithm == "arps":
-        windows = anchor_windows(anc, config.block_size)
         for index in moving.tolist():
-            counter = EvalCounter({(0, 0): int(colocated[index])})
-            cost = BlockCost(windows, tgt, block_origin(grid, index), config.block_size, counter, window)
+            counter = EvalCounter(field.memos[index] if keep_memos else {(0, 0): int(colocated[index])})
+            cost = BlockCost(pair.windows, tgt, (x[index], y[index]), config.block_size, counter, window)
             # a block's one link to the field: its left neighbor's vector
             left = tuple(vectors[index - 1].tolist()) if index % grid.cols else None
             vectors[index] = arps_search(cost, left)
             evals[index] = counter.evals
-            if keep_memos:
-                field.memos[index] = counter.memo
         return field
 
-    pair = PairCost(anc, tgt, grid)
     if algorithm == "es":  # ES prejudges nothing, so every block moves
         lo, hi = pair.bounds(moving, p)
         sides = hi - lo + 1
@@ -429,7 +425,7 @@ def estimate(
         for first in range(0, grid.n_blocks, step):
             part = moving[first : first + step]
             vectors[part] = es_blocks(pair, part, lo[part], hi[part])
-        for origin in zip(pair.x.tolist(), pair.y.tolist()):
+        for origin in zip(x, y):
             # each block's one query of the cost layer, which wrappers of BlockCost.__call__ see as ES work
             BlockCost(pair.windows, tgt, origin, config.block_size, EvalCounter(), window)((0, 0))
         if keep_memos:  # each block's memo: (0, 0), then its whole box in (dy, dx) raster order

@@ -2,20 +2,18 @@
 
 BlockCost is the memoized per-block cost oracle, one displacement per call:
 ARPS queries it one displacement at a time, ES only at its co-located point,
-and es_search, the acceptance gate's ES, scans a block's window through it,
-every oracle reading one anchor_windows view per frame pair, as PairCost
-does. EvalCounter is the block's ledger: a memo dict and its count of
-distinct displacements. PairCost, built from a frame pair's planes, is its
-one state for ES, the lockstep diamond search and the column-wavefront
-swarm, the one batch scorer, which scores many (block, displacement) pairs
-in one gather, and the one record that fills those matchers' kept memos
-(keep_memos). candidate_key is the one order on candidates: ARPS and
-es_search compare its tuples, and CandidateKeys ranks the array paths'
-candidates as int64 keys that order exactly as it does. sad_sums is the one
-place where a strided window difference is reduced: ES's upper keys and
-survivors, the pair gather (PairCost.rank) and `estimate`'s prejudgment all
-sum through it, in int32, and get int64 sums back; a block side whose raw
-sum could pass int32 is refused (blocks.MAX_BLOCK_SIZE).
+and es_search, the acceptance gate's ES, scans a block's window through it.
+EvalCounter is the block's ledger: a memo dict and its count of distinct
+displacements. PairCost, built once per `estimate` call, is the frame pair's
+one state: the window view every oracle reads, the one batch scorer of ES, DS
+and the swarm, and the one record that fills their kept memos (keep_memos).
+candidate_key is the one order on candidates: ARPS and es_search compare its
+tuples, and CandidateKeys ranks the array paths' candidates as int64 keys
+that order exactly as it does. sad_sums is the one place where a strided
+window difference is reduced: ES's upper keys and survivors, the pair gather
+(PairCost.rank) and `estimate`'s prejudgment all sum through it, in int32,
+and get int64 sums back; a block side whose raw sum could pass int32 is
+refused (blocks.MAX_BLOCK_SIZE).
 
 Cost convention: every cost is the raw integer sum of absolute differences,
 so comparisons stay exact. The static-block threshold is given in sum/N
@@ -25,6 +23,8 @@ it in one array op, so static blocks never reach a cost oracle.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -210,18 +210,18 @@ class CandidateKeys:
 
 
 class PairCost:
-    """Costs of many (block, displacement) pairs of one frame pair, and its
+    """One `estimate` call's costs of many (block, displacement) pairs, and its
     one statement of each block's origin (x, y), tile, box (bounds) and keys.
 
     anchor/target are the pair's int16 planes and grid their block tiling;
-    windows and tiles are views of them (anchor_windows, grid.tiles). `rank`,
-    the one batch scorer, takes block indices and frame-legal displacements,
-    arrays that broadcast together, scores every pair, repeats included, in
-    one gather (sad_sums) from the anchor windows, and returns their candidate
-    keys. The memo is a record that rank never reads: one dict of every
-    distinct cost under block * area + at (see CandidateKeys) in first-query
-    order, within a call in array order, so each block's entries keep the
-    order a BlockCost memo would give them; `fill` makes the kept memos.
+    tiles and windows are views of them (grid.tiles, anchor_windows), windows
+    built on first read. `rank`, the one batch scorer, takes block indices and
+    frame-legal displacements, arrays that broadcast together, scores every
+    pair, repeats included, in one gather (sad_sums), and returns their
+    candidate keys. The memo is a record that rank never reads: one dict of
+    every distinct cost under block * area + at (see CandidateKeys) in
+    first-query order, within a call in array order, so each block's entries
+    keep a BlockCost memo's order; `fill` makes the kept memos.
     """
 
     def __init__(self, anchor: np.ndarray, target: np.ndarray, grid):
@@ -229,13 +229,19 @@ class PairCost:
         self.height, self.width = target.shape
         self.grid = grid
         self.keys = CandidateKeys(self.width, self.height, bs)
-        self.anchor, self.windows = anchor, anchor_windows(anchor, bs)
-        self.tiles = grid.tiles(target)
+        self.anchor, self.tiles = anchor, grid.tiles(target)
         index = np.arange(grid.n_blocks)
         self.x, self.y = index % cols * bs, index // cols * bs
         self._corner = self.y * self.width + self.x
         self.memo: dict[int, int] = {}
-        self._block_tiles = None  # the tiles as one (blocks, side, side) copy, built by rank, so ES never holds it
+
+    @cached_property
+    def windows(self) -> np.ndarray:
+        return anchor_windows(self.anchor, self.grid.block_size)
+
+    @cached_property
+    def _block_tiles(self) -> np.ndarray:  # a (blocks, side, side) copy of the tiles, for rank only
+        return self.tiles.reshape(self.grid.n_blocks, *self.tiles.shape[2:])
 
     def bounds(self, blocks: np.ndarray, reach: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Frame-legal (dx, dy) minima and maxima of the blocks, each (k, 2), cut to |dx|, |dy| <= reach if given."""
@@ -248,8 +254,6 @@ class PairCost:
         """The candidate keys (CandidateKeys.encode) of displacements d
         (..., 2) of the blocks, every one scored in one gather, repeats
         included, and recorded in the memo."""
-        if self._block_tiles is None:
-            self._block_tiles = self.tiles.reshape(self.grid.n_blocks, *self.tiles.shape[2:])
         at = self.keys.at(self._corner[blocks], d)
         row, col = np.divmod(at, self.width)
         costs = sad_sums(self.windows[row, col], self._block_tiles[blocks])

@@ -13,7 +13,7 @@ from mebench import (
     estimate,
     estimators,
 )
-from mebench.estimators import arps_search
+from mebench.estimators import ALGORITHMS, arps_search
 from mebench.metrics import PairCost
 
 from conftest import load_script, make_cost, noise_frame, shifted_pair, smooth_texture
@@ -351,6 +351,21 @@ def test_arps_requires_threshold():
         estimate("arps", f, f)
     with pytest.raises(ValueError, match="threshold"):
         estimate("ds", f, f, EstimatorConfig(ds_zmp=True))
+
+
+@pytest.mark.parametrize("threshold", [1e9, 8], ids=["all-static", "moving"])
+def test_every_matcher_refuses_a_frame_whose_candidate_keys_overflow(threshold):
+    # one 2901x2901 block of a 2901x3344 frame, one pixel taller than the
+    # last frame whose keys fit int64: its raw co-located sum, 2901**2, falls
+    # under every static cut at 1e9 and under none at 8, and either way every
+    # matcher refuses the frame with the same message
+    anchor, target = Frame(np.zeros((3344, 2901), np.uint8)), Frame(np.ones((3344, 2901), np.uint8))
+    config = EstimatorConfig(block_size=2901, zmp_threshold=threshold, ds_zmp=True)
+    assert all((2901**2 < config.static_cut(a)) == (threshold == 1e9) for a in ("ds", "arps", "pso-zmp"))
+    for algorithm in ALGORITHMS:
+        with pytest.raises(ValueError) as info:
+            estimate(algorithm, anchor, target, config)
+        assert str(info.value) == "candidate keys of a 2901x3344 frame with 2901x2901 blocks overflow int64", algorithm
 
 
 def test_all_field_vectors_are_legal():

@@ -16,11 +16,13 @@ tie-heavy; windows are interior, edge-clipped and corner-clipped. Last,
 invariants of `estimate` for every algorithm: legal vectors and memo keys,
 evals == len(memo), the static-block prejudgment and the same field without
 memos, and that `estimate` gives the same field whatever the memory layout
-of its frames (ES's window is drawn in three layouts too). The int64
-candidate keys of the array paths are held to candidate_key's order, in
-PairCost's ranking too where a cost times the displacement ranks passes
-int32, PairCost's memo to BlockCost's, and PairCost's boxes, cut to the
-search window or not, to BlockCost's and the frame's."""
+of its frames (ES's window is drawn in three layouts too). CandidateKeys
+refuses exactly the frames whose largest keys, derived from its definition
+in Python ints, pass int64, and the int64 candidate keys of the array
+paths are held to candidate_key's order, in PairCost's ranking too where a
+cost times the displacement ranks passes int32, PairCost's memo to
+BlockCost's, and PairCost's boxes, cut to the search window or not, to
+BlockCost's and the frame's."""
 
 from __future__ import annotations
 
@@ -473,6 +475,32 @@ def test_candidate_keys_beyond_int64_are_refused(side, block):
     with pytest.raises(ValueError) as info:
         CandidateKeys(side, side, block)
     assert str(info.value) == f"candidate keys of a {side}x{side} frame with {block}x{block} blocks overflow int64"
+
+
+@pytest.mark.parametrize(
+    "fitting, passing, block",
+    [
+        ((2901, 3343), (2901, 3344), 2901),  # one pixel taller
+        ((41343, 41343), (41344, 41344), 16),  # one pixel wider and taller
+    ],
+)
+def test_candidate_keys_refuse_exactly_the_frames_whose_keys_pass_int64(fitting, passing, block):
+    # From the definition, in Python ints, which do not wrap: a block's
+    # largest key is the highest cost at the longest displacement reading the
+    # last anchor window, and must rank before INT64_MAX; the largest memo
+    # key is the last anchor window of the last block.
+    def fits(width, height):
+        l1_span = (width - block) + (height - block) + 1
+        area, blocks = width * height, (width // block) * (height // block)
+        key = (255 * block * block * l1_span + l1_span - 1) * area + area - 1
+        return key < INT64_MAX and (blocks - 1) * area + area - 1 <= INT64_MAX
+
+    assert fits(*fitting) and not fits(*passing)
+    CandidateKeys(*fitting, block)
+    with pytest.raises(ValueError) as info:
+        CandidateKeys(*passing, block)
+    width, height = passing
+    assert str(info.value) == f"candidate keys of a {width}x{height} frame with {block}x{block} blocks overflow int64"
 
 
 @settings(max_examples=40, deadline=None)

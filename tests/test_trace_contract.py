@@ -11,9 +11,11 @@ to pso.py, which alone builds one, every cost oracle of a frame pair to
 one anchor window view (and compensate to none when no block moved), the
 array matchers' boxes and candidate keys to PairCost, and batch scoring
 to PairCost, whose record fills ES's, DS's and the swarm's kept memos in
-one PairCost.fill. The dump and CSV writers the tracer wraps run on the
-main thread, whose span stack is the tracer's only one, and a run that dumps
-nothing starts no thread."""
+one PairCost.fill. Every `estimate` call builds exactly one PairCost, an
+all-static pair's too, and reads every block's origin and the window view
+from it, ARPS's oracles included. The dump and CSV writers the tracer wraps
+run on the main thread, whose span stack is the tracer's only one, and a
+run that dumps nothing starts no thread."""
 
 from __future__ import annotations
 
@@ -235,6 +237,32 @@ def test_the_pair_alone_states_the_array_matchers_boxes_and_keys():
     keys = {f"{name}:{scope}" for name, found in calls.items() for scope, callee in found if callee == "CandidateKeys"}
     assert boxes == {"compensate"}
     assert keys == {"metrics.py:PairCost.__init__", "pso.py:pso_match"}
+
+
+def test_the_pair_alone_states_the_origins_and_the_window_view():
+    # estimate reads every block's origin and the anchor's window view from
+    # the pair, ARPS's oracles included: in estimators.py only compensate,
+    # which has no pair, builds a window view, and nothing computes an origin
+    calls = calls_by_function(REPO / "src" / "mebench" / "estimators.py")
+    assert {scope for scope, callee in calls if callee == "anchor_windows"} == {"compensate"}
+    assert {scope for scope, callee in calls if callee == "block_origin"} == set()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("all_static", [False, True], ids=["moving", "all-static"])
+def test_every_estimate_call_builds_one_pair(monkeypatch, algorithm, all_static):
+    init, built = metrics.PairCost.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.PairCost, "__init__", counted)
+    anchor, target = static_and_patch_clip()
+    field = estimate(algorithm, anchor, anchor if all_static else target, EstimatorConfig(zmp_threshold=8, ds_zmp=True))
+    if all_static and algorithm != "es":  # ES prejudges nothing
+        assert field.static_count == field.grid.n_blocks
+    assert len(built) == 1
 
 
 def test_the_pair_is_the_one_batch_scorer():

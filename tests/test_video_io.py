@@ -371,9 +371,10 @@ def test_empty_sequence_text():
 def test_raw_yuv_dimensions_text(tmp_path):
     path = tmp_path / "clip.yuv"
     path.write_bytes(bytes(QCIF_FRAME_BYTES))
-    with pytest.raises(ValueError) as info:
-        load_raw_yuv(path, 0, 16)
-    assert str(info.value) == "dimensions must be positive, got 0x16"
+    for width, height in ((0, 16), (16, 0)):
+        with pytest.raises(ValueError) as info:
+            load_raw_yuv(path, width, height)
+        assert str(info.value) == f"dimensions must be positive, got {width}x{height}"
 
 
 def _y4m_two_frames_cut_10() -> bytes:
